@@ -4,6 +4,11 @@ A FiniteLattice stores the full order relation plus join/meet index tables
 as numpy arrays; everything downstream (property checks, audits) works off
 those tables. An LcmLattice additionally remembers its monomial elements
 and which indices are the ideal's generators (the atoms).
+
+build_lcm_lattice works on arrays throughout: the join-closure adds one
+generator per round to an (N, nvars) exponent array, elements are keyed
+by the bitmask of the generators dividing them, and leq/join/meet are
+filled from those keys in row blocks of about BLOCK_BYTES each.
 """
 
 from __future__ import annotations
@@ -14,18 +19,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .monomials import (
-    MonomialIdeal,
-    divides,
-    lcm,
-    monomial_str,
-    total_degree,
-    unit,
-)
+from .monomials import MonomialIdeal, monomial_str, total_degree, unit
 
 DEFAULT_MAX_GENERATORS = 16
 DEFAULT_MAX_ELEMENTS = 65536
 DEFAULT_MAX_PRODUCT = 250000
+# the divisor-bitmask key of build_lcm_lattice is one uint64
+MAX_KEY_BITS = 64
+# rough bound on the bytes of each blocked temporary in build_lcm_lattice
+BLOCK_BYTES = 1 << 20
 
 
 class SizeLimitError(ValueError):
@@ -146,6 +148,20 @@ def _element_sort_key(m):
     return (total_degree(m), m)
 
 
+def _row_blocks(rows: int, row_bytes: int) -> list:
+    """Slices covering range(rows), each holding at most BLOCK_BYTES (and at least one row)."""
+    step = max(1, BLOCK_BYTES // row_bytes)
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
+def _divisor_keys(exps: np.ndarray, gens: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """For each exponent row, the bitmask of the generators dividing it."""
+    keys = np.empty(len(exps), dtype=np.uint64)
+    for blk in _row_blocks(len(exps), gens.size):
+        keys[blk] = (exps[blk, None, :] >= gens[None, :, :]).all(axis=2) @ bits
+    return keys
+
+
 def build_lcm_lattice(
     I: MonomialIdeal,
     max_generators: int = DEFAULT_MAX_GENERATORS,
@@ -155,6 +171,25 @@ def build_lcm_lattice(
 
     Elements come out as: unit first, then sorted by (total degree,
     lexicographic exponents), so indices are stable across runs.
+
+    The closure runs on an (N, nvars) int64 exponent array, one generator
+    per round: S_k = S_{k-1} | max(S_{k-1}, g_k), starting from {unit}.
+    Each element is keyed by the bitmask of the generators dividing it; the
+    key is injective because e = lcm{g : g | e}, and it fits a uint64 for
+    up to MAX_KEY_BITS generators whatever the ring dimension or exponent
+    size. Rows are deduplicated by key after the last round and after any
+    round that leaves them over BLOCK_BYTES; the element cap is checked at
+    each deduplication, before any table is allocated.
+
+    On keys, a <= b is key(a) subset of key(b). meet(a, b) has key
+    key(a) & key(b), since the lcm of the generators dividing both is the
+    largest common lower bound. join(a, b) has the key of max(a, b):
+    generator g divides max(a, b) unless some variable is below g's
+    exponent in both a and b, a count taken by one 0/1 matmul per
+    generator. Keys are turned back into indices with searchsorted.
+    Besides the tables and the per-element arrays (exponents, keys, and
+    the 0/1 "exponent below g's" indicators), every temporary is built in
+    row blocks of about BLOCK_BYTES; nothing of size N^3 is formed.
     """
     m = len(I.generators)
     if m > max_generators:
@@ -162,52 +197,56 @@ def build_lcm_lattice(
             f"ideal has {m} generators; the cap is {max_generators} "
             "(raise it via max_generators)"
         )
-    n = I.ring_dimension
-    closure = set(I.generators)
-    frontier = list(I.generators)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in list(closure):
-                j = lcm(g, h)
-                if j not in closure:
-                    closure.add(j)
-                    nxt.append(j)
-        frontier = nxt
-        if len(closure) + 1 > max_elements:
-            raise SizeLimitError(
-                f"lattice exceeds the element cap {max_elements}"
-            )
-    elements = [unit(n)] + sorted(closure, key=_element_sort_key)
-    index = {mono: i for i, mono in enumerate(elements)}
-    size = len(elements)
+    if m > MAX_KEY_BITS:
+        raise SizeLimitError(
+            f"ideal has {m} generators; the divisor-bitmask key holds at most "
+            f"{MAX_KEY_BITS}"
+        )
+    gens = np.array(I.generators, dtype=np.int64)
+    bits = np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
+    exps = np.zeros((1, I.ring_dimension), dtype=np.int64)
+    for k, g in enumerate(gens, 1):
+        exps = np.concatenate((exps, np.maximum(exps, g)))
+        if exps.nbytes > BLOCK_BYTES or k == m:
+            keys, first = np.unique(_divisor_keys(exps, gens, bits), return_index=True)
+            exps = exps[first]
+            if len(exps) > max_elements:
+                raise SizeLimitError(
+                    f"lattice exceeds the element cap {max_elements}"
+                )
 
-    exps = np.array(elements, dtype=np.int64)
-    # leq by divisibility, chunked over rows to bound memory
-    leq = np.zeros((size, size), dtype=bool)
-    for a in range(size):
-        leq[a] = (exps[a][None, :] <= exps).all(axis=1)
+    # keys are sorted; order puts exps in canonical (degree, lex) order and
+    # rank maps a sorted-key position to its canonical index
+    size = len(exps)
+    order = np.lexsort((*exps.T[::-1], exps.sum(axis=1)))
+    rank = np.empty(size, dtype=np.int32)
+    rank[order] = np.arange(size, dtype=np.int32)
+    sorted_keys = keys
+    exps, keys = exps[order], keys[order]
 
-    join = np.zeros((size, size), dtype=np.int32)
-    for a in range(size):
-        ea = elements[a]
-        row = join[a]
-        for b in range(a, size):
-            row[b] = join[b, a] = index[lcm(ea, elements[b])]
+    def index_of(k):
+        return rank[np.searchsorted(sorted_keys, k)]
 
-    # meet(a, b) = unique maximal common lower bound; since common lower
-    # bounds are join-closed, it is the one of largest total degree.
-    degrees = exps.sum(axis=1)
-    meet = np.zeros((size, size), dtype=np.int32)
-    for a in range(size):
-        common = leq[:, [a]] & leq            # [d, b]: d <= a and d <= b
-        scores = np.where(common, degrees[:, None], -1)
-        meet[a] = scores.argmax(axis=0)
+    leq = np.empty((size, size), dtype=bool)
+    meet = np.empty((size, size), dtype=np.int32)
+    for blk in _row_blocks(size, 24 * size):
+        leq[blk] = (keys[blk, None] & ~keys[None, :]) == 0
+        meet[blk] = index_of(keys[blk, None] & keys[None, :])
 
+    # short[j, e, i]: element e's exponent of x_i is below generator j's
+    active = gens.any(axis=0)
+    short = (exps[None, :, active] < gens[:, None, active]).astype(np.float32)
+    short_t = short.transpose(0, 2, 1)
+    join = np.empty((size, size), dtype=np.int32)
+    for blk in _row_blocks(size, (13 * m + 16) * size):
+        divides = np.matmul(short[:, blk], short_t) == 0
+        join[blk] = index_of(divides.transpose(1, 2, 0) @ bits)
+
+    elements = tuple(map(tuple, exps.tolist()))
     labels = tuple(monomial_str(e) for e in elements)
     lat = FiniteLattice(leq, join, meet, labels)
-    atom_indices = tuple(index[g] for g in I.generators)
-    return LcmLattice(I, tuple(elements), atom_indices, lat)
+    atom_indices = tuple(int(i) for i in index_of(bits))
+    return LcmLattice(I, elements, atom_indices, lat)
 
 
 def enumerate_subset_lcms(I: MonomialIdeal):
@@ -227,14 +266,6 @@ def enumerate_subset_lcms(I: MonomialIdeal):
             seen.add(acc)
     nonunit = sorted(seen - {unit(n)}, key=_element_sort_key)
     return [unit(n)] + nonunit
-
-
-def join_of(L: LcmLattice, a: int, b: int) -> int:
-    return L.lattice.join(a, b)
-
-
-def meet_of(L: LcmLattice, a: int, b: int) -> int:
-    return L.lattice.meet(a, b)
 
 
 def interval(L: FiniteLattice, x: int, y: int):
@@ -337,33 +368,40 @@ def atoms_of(L: FiniteLattice) -> list:
     return [b for a, b in hasse_edges(L) if a == bot]
 
 
+def _strict_and_covers(L: FiniteLattice):
+    """The strict order a < b and the cover relation, as bool matrices.
+
+    a < b is a cover unless some path a < c < b exists; paths are counted
+    by a float32 matmul of 0/1 entries, which cannot wrap: a sum of
+    non-negative terms is positive iff some term is.
+    """
+    strict = L.leq & ~np.eye(L.size, dtype=bool)
+    as_float = strict.astype(np.float32)
+    return strict, strict & ~((as_float @ as_float) > 0)
+
+
 def hasse_edges(L: FiniteLattice):
     """Cover pairs (a, b): a < b with nothing strictly between."""
-    strict = L.leq & ~np.eye(L.size, dtype=bool)
-    through = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
-    covers = strict & ~through
+    _, covers = _strict_and_covers(L)
     return [(int(a), int(b)) for a, b in np.argwhere(covers)]
 
 
 def _refine_invariants(L: FiniteLattice):
     """Iterated neighborhood refinement; isomorphism-invariant color per element."""
-    strict = L.leq & ~np.eye(L.size, dtype=bool)
-    covers = strict & ~((strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0)
-    color = [
-        (
-            int(strict[i].sum()),
-            int(strict[:, i].sum()),
-            int(covers[i].sum()),
-            int(covers[:, i].sum()),
-        )
-        for i in range(L.size)
-    ]
+    strict, covers = _strict_and_covers(L)
+    counts = (strict.sum(axis=1), strict.sum(axis=0), covers.sum(axis=1), covers.sum(axis=0))
+    color = list(zip(*(c.tolist() for c in counts)))
+    above = [[] for _ in range(L.size)]
+    below = [[] for _ in range(L.size)]
+    for a, b in zip(*(idx.tolist() for idx in np.nonzero(covers))):
+        above[a].append(b)
+        below[b].append(a)
     for _ in range(L.size):
         nxt = [
             (
                 color[i],
-                tuple(sorted(color[j] for j in np.nonzero(covers[i])[0])),
-                tuple(sorted(color[j] for j in np.nonzero(covers[:, i])[0])),
+                tuple(sorted(color[j] for j in above[i])),
+                tuple(sorted(color[j] for j in below[i])),
             )
             for i in range(L.size)
         ]
@@ -388,52 +426,61 @@ def is_isomorphic(L1: FiniteLattice, L2: FiniteLattice):
     c2 = _refine_invariants(L2)
     if sorted(c1) != sorted(c2):
         return None
-    candidates = [
-        [j for j in range(n) if c2[j] == c1[i]] for i in range(n)
-    ]
+    by_color = {}
+    for j, c in enumerate(c2):
+        by_color.setdefault(c, []).append(j)
+    candidates = [by_color[c] for c in c1]
     order = sorted(range(n), key=lambda i: (len(candidates[i]), i))
-    mapping = [-1] * n
-    used = [False] * n
+    placed_order = np.array(order)
+    mapping = np.full(n, -1, dtype=np.int64)
+    used = np.zeros(n, dtype=bool)
 
-    def consistent(i, j, placed):
-        for k in placed:
-            mk = mapping[k]
-            if L1.leq[i, k] != L2.leq[j, mk] or L1.leq[k, i] != L2.leq[mk, j]:
-                return False
-            ji = mapping[L1.join_table[i, k]]
-            if ji != -1 and ji != L2.join_table[j, mk]:
-                return False
-            mi = mapping[L1.meet_table[i, k]]
-            if mi != -1 and mi != L2.meet_table[j, mk]:
+    def consistent(i, j, pos):
+        # i -> j against every element placed before position pos
+        placed = placed_order[:pos]
+        image = mapping[placed]
+        if (L1.leq[i, placed] != L2.leq[j, image]).any() or (
+            L1.leq[placed, i] != L2.leq[image, j]
+        ).any():
+            return False
+        for t1, t2 in ((L1.join_table, L2.join_table), (L1.meet_table, L2.meet_table)):
+            mapped = mapping[t1[i, placed]]
+            if ((mapped != t2[j, image]) & (mapped != -1)).any():
                 return False
         return True
 
-    def backtrack(pos, placed):
-        if pos == n:
-            return True
+    # depth-first search with an explicit stack: tried[pos] is how many of
+    # order[pos]'s candidates have been tried at the current branch
+    tried = [0] * n
+    pos = 0
+    while 0 <= pos < n:
         i = order[pos]
-        for j in candidates[i]:
-            if used[j] or not consistent(i, j, placed):
-                continue
-            mapping[i] = j
-            used[j] = True
-            if backtrack(pos + 1, placed + [i]):
-                return True
+        if mapping[i] != -1:  # back from a dead end below: undo this choice
+            used[mapping[i]] = False
             mapping[i] = -1
-            used[j] = False
-        return False
-
-    if not backtrack(0, []):
+        cands = candidates[i]
+        k = tried[pos]
+        while k < len(cands) and (used[cands[k]] or not consistent(i, cands[k], pos)):
+            k += 1
+        if k == len(cands):
+            tried[pos] = 0
+            pos -= 1
+            continue
+        tried[pos] = k + 1
+        mapping[i] = cands[k]
+        used[cands[k]] = True
+        pos += 1
+    if pos < 0:
         return None
     # final sanity pass over the full tables
-    perm = np.array(mapping)
+    grid = np.ix_(mapping, mapping)
     if not (
-        np.array_equal(L1.leq, L2.leq[np.ix_(perm, perm)])
-        and np.array_equal(perm[L1.join_table], L2.join_table[np.ix_(perm, perm)])
-        and np.array_equal(perm[L1.meet_table], L2.meet_table[np.ix_(perm, perm)])
+        np.array_equal(L1.leq, L2.leq[grid])
+        and np.array_equal(mapping[L1.join_table], L2.join_table[grid])
+        and np.array_equal(mapping[L1.meet_table], L2.meet_table[grid])
     ):
         return None
-    return mapping
+    return mapping.tolist()
 
 
 # --- exports ----------------------------------------------------------------

@@ -1,10 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcmlat import lattice
 from lcmlat.lattice import (
+    FiniteLattice,
     SizeLimitError,
+    atoms_of,
     boolean_lattice,
     build_lcm_lattice,
     chain_lattice,
@@ -18,7 +23,16 @@ from lcmlat.lattice import (
     pentagon_lattice,
     product,
 )
-from lcmlat.monomials import MonomialIdeal, lcm, minimalize, polarize
+from lcmlat.monomials import (
+    MAX_EXPONENT,
+    Hypergraph,
+    MonomialIdeal,
+    edge_ideal,
+    lcm,
+    minimalize,
+    monomial_str,
+    polarize,
+)
 from lcmlat.properties import is_complemented
 
 
@@ -208,6 +222,14 @@ class TestHasse:
     def test_two_chain(self):
         assert hasse_edges(chain_lattice(2)) == [(0, 1)]
 
+    def test_path_counts_do_not_wrap(self):
+        # 256 elements strictly between 0 and 257 once wrapped a uint8 count
+        lat = chain_lattice(258)
+        covers = hasse_edges(lat)
+        assert len(covers) == 257
+        assert (0, 257) not in covers
+        assert atoms_of(lat) == [1]
+
 
 class TestIsomorphism:
     def test_polarization_example(self):
@@ -234,21 +256,110 @@ class TestIsomorphism:
         n = fig3_lattice.size
         assert is_isomorphic(fig3_lattice.lattice, fig3_lattice.lattice) == list(range(n))
 
+    def test_long_chain_needs_no_recursion(self):
+        # one search level per element, deeper than the default recursion limit
+        assert is_isomorphic(chain_lattice(1500), chain_lattice(1500)) == list(range(1500))
+
     def test_symmetric(self, fig5_lattice, fig3_lattice):
         ab = is_isomorphic(fig5_lattice.lattice, fig3_lattice.lattice)
         ba = is_isomorphic(fig3_lattice.lattice, fig5_lattice.lattice)
         assert (ab is None) == (ba is None)
 
 
+def antichain_ideal_strategy(n_max=3, m_max=8, e_max=3):
+    # g followed by (e_max - g): every generator has total degree n * e_max,
+    # so distinct ones form an antichain and none is lost to minimalization
+    return st.integers(2, n_max).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.integers(0, e_max)] * n), min_size=1, max_size=m_max, unique=True
+        ).map(
+            lambda gens: MonomialIdeal.make(
+                2 * n, [g + tuple(e_max - e for e in g) for g in gens]
+            )
+        )
+    )
+
+
+def squarefree_edge_ideal_strategy(n_max=7, m_max=8):
+    return st.integers(2, n_max).flatmap(
+        lambda n: st.lists(
+            st.sets(st.integers(1, n), min_size=2, max_size=2),
+            min_size=1,
+            max_size=m_max,
+            unique_by=frozenset,
+        ).map(lambda edges: edge_ideal(Hypergraph.make(n, edges)))
+    )
+
+
+def wide_ideal_strategy(n_min=70, n_max=80, m_max=6):
+    # sparse exponent vectors, exponents up to the cap: neither the ring
+    # dimension nor the exponent size may overflow the builder's key
+    def ideal(n):
+        monomial = st.dictionaries(
+            st.sampled_from(range(n)), st.integers(1, MAX_EXPONENT), min_size=1, max_size=6
+        ).map(lambda exps: tuple(exps.get(i, 0) for i in range(n)))
+        return st.lists(monomial, min_size=1, max_size=m_max).map(
+            lambda gens: MonomialIdeal.make(n, gens)
+        )
+
+    return st.integers(n_min, n_max).flatmap(ideal)
+
+
 class TestClosureOracle:
-    @settings(max_examples=60, deadline=None)
-    @given(random_ideal_strategy())
-    def test_join_closure_equals_subset_enumeration(self, I):
+    """build_lcm_lattice against routes that do not share its code."""
+
+    @staticmethod
+    def check(I):
         L = build_lcm_lattice(I)
-        assert list(L.elements) == enumerate_subset_lcms(I)
+        expected = enumerate_subset_lcms(I)
+        assert list(L.elements) == expected
+        exps = np.array(expected, dtype=np.int64)
+        divides = (exps[:, None, :] <= exps[None, :, :]).all(axis=2)
+        assert np.array_equal(L.lattice.leq, divides)
+        ref = FiniteLattice.from_leq(divides)
+        assert np.array_equal(L.lattice.join_table, ref.join_table)
+        assert np.array_equal(L.lattice.meet_table, ref.meet_table)
+        assert L.atom_indices == tuple(expected.index(g) for g in I.generators)
+        assert L.lattice.labels == tuple(monomial_str(e) for e in expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(random_ideal_strategy(m_max=8), antichain_ideal_strategy()))
+    def test_join_closure_equals_subset_enumeration(self, I):
+        self.check(I)
 
     def test_element_count_bound(self, fig3_lattice):
         assert fig3_lattice.size <= 1 << fig3_lattice.atom_count
+
+    @settings(max_examples=40, deadline=None)
+    @given(squarefree_edge_ideal_strategy())
+    def test_edge_ideals(self, I):
+        self.check(I)
+
+    @settings(max_examples=15, deadline=None)
+    @given(wide_ideal_strategy())
+    def test_wide_rings(self, I):
+        self.check(I)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(antichain_ideal_strategy(), squarefree_edge_ideal_strategy()))
+    def test_tiny_block_budget(self, I):
+        # many row blocks per table, and deduplication after every round
+        with mock.patch.object(lattice, "BLOCK_BYTES", 64):
+            self.check(I)
+
+    @settings(max_examples=20, deadline=None)
+    @given(random_ideal_strategy(n_max=4, m_max=6, e_max=3))
+    def test_element_cap_boundary(self, I):
+        size = len(enumerate_subset_lcms(I))
+        assert build_lcm_lattice(I, max_elements=size).size == size
+        with pytest.raises(SizeLimitError, match=f"lattice exceeds the element cap {size - 1}$"):
+            build_lcm_lattice(I, max_elements=size - 1)
+
+    def test_key_width_cap(self):
+        n = 65
+        I = MonomialIdeal.make(n, [tuple(int(i == j) for i in range(n)) for j in range(n)])
+        with pytest.raises(SizeLimitError, match="at most 64"):
+            build_lcm_lattice(I, max_generators=n)
 
 
 class TestExports:
