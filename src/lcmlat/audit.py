@@ -15,11 +15,9 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from pathlib import Path
 
-from . import conditions, properties
+from . import conditions, kernels, properties
 from .conditions import HYPOTHESIS_NOT_MET
 from .lattice import (
-    FiniteLattice,
-    LcmLattice,
     boolean_lattice,
     build_lcm_lattice,
     chain_lattice,
@@ -189,11 +187,6 @@ def _describe_pair(name1: str, name2: str) -> dict:
 
 # --- per-theorem audits -------------------------------------------------------
 
-def _ground_truth_modular(L: LcmLattice) -> properties.PropertyVerdict:
-    # is_modular already forces sweep + pentagon search on small lattices
-    return properties.is_modular(L.lattice)
-
-
 def audit_instance(theorem: str, instance) -> AuditReport:
     """Run one structural prediction against one lattice ground truth.
 
@@ -214,7 +207,7 @@ def audit_instance(theorem: str, instance) -> AuditReport:
             raise ValueError("modular audit needs a k-uniform hypergraph")
         cond = conditions.predicts_modular(H)
         L = build_lcm_lattice(edge_ideal(H))
-        verdict = _ground_truth_modular(L)
+        verdict = properties.is_modular(L.lattice)
         predicted = HYPOTHESIS_NOT_MET if cond.status == HYPOTHESIS_NOT_MET else cond.holds
         return _report(theorem, _describe_hypergraph(H), predicted, verdict.holds,
                        cond.evidence, verdict.witness)
@@ -271,8 +264,6 @@ def audit_instance(theorem: str, instance) -> AuditReport:
     if theorem == "birkhoff-crosscheck":
         I = instance
         L = build_lcm_lattice(I).lattice
-        from . import kernels
-
         modular_sweep = kernels.modular_violation(L.join_table, L.meet_table, L.leq) is None
         no_pentagon = properties.find_n5(L) is None
         distributive_sweep = kernels.distributive_violation(L.join_table, L.meet_table) is None

@@ -2,7 +2,8 @@
 
 Results go to stdout as JSON (or DOT for `build --format dot`); all
 diagnostics go to stderr. Exit codes: 0 success, 1 property false under
---assert, 2 input or validation errors.
+--assert, 2 input or validation errors, 3 internal error (one JSON line
+naming the exception type on stderr).
 """
 
 from __future__ import annotations
@@ -298,6 +299,10 @@ def run_cli(argv) -> int:
     except (CliError, ValueError, IndexError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
+    except Exception as exc:
+        sys.stderr.write(json.dumps(
+            {"error": str(exc), "internal": type(exc).__name__}) + "\n")
+        return 3
 
 
 def main() -> None:

@@ -1,9 +1,9 @@
 """Hot inner loops over lattice tables: law sweeps and sublattice searches.
 
-Every kernel exists twice: a numba @njit loop version and a vectorized
-numpy fallback. Both produce identical results (same witness, same search
-order); test_kernels.py asserts parity. Set LCMLAT_NO_NUMBA=1 to force the
-numpy path (also used automatically when numba is unavailable).
+Each kernel is one vectorized numpy pass per outer index. It returns the
+first witness in a fixed scan order as a tuple of ints, or None when there
+is none; tests/test_kernels.py checks every kernel against a plain triple
+loop on the same tables.
 
 Tables are int32 join/meet index tables plus a bool leq matrix, as built
 by lattice.FiniteLattice.
@@ -11,33 +11,16 @@ by lattice.FiniteLattice.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_NO_WITNESS = (-1, -1, -1)
+# read by perfbench's provenance record; there is no other backend
+USE_NUMBA = False
 
 
-def _want_numba() -> bool:
-    return os.environ.get("LCMLAT_NO_NUMBA", "").lower() not in ("1", "true", "yes")
-
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and _want_numba()
-
-
-# --- numpy fallback implementations ----------------------------------------
-
-def modular_violation_numpy(join, meet, leq):
+def modular_violation(join, meet, leq):
     """First (x, y, z) with x <= z and x v (y ^ z) != (x v y) ^ z.
 
-    Scan order: z ascending, then x, then y. Returns (-1,-1,-1) if modular.
+    Scan order: z ascending, then x, then y. Returns None if modular.
     """
     n = join.shape[0]
     for z in range(n):
@@ -46,12 +29,15 @@ def modular_violation_numpy(join, meet, leq):
         viol = (lhs != rhs) & leq[:, z][:, None]
         if viol.any():
             x, y = np.argwhere(viol)[0]
-            return int(x), int(y), int(z)
-    return _NO_WITNESS
+            return int(x), int(y), z
+    return None
 
 
-def distributive_violation_numpy(join, meet):
-    """First (x, y, z) with x ^ (y v z) != (x ^ y) v (x ^ z), scanning x, y, z."""
+def distributive_violation(join, meet):
+    """First (x, y, z) with x ^ (y v z) != (x ^ y) v (x ^ z), scanning x, y, z.
+
+    Returns None if distributive.
+    """
     n = join.shape[0]
     for x in range(n):
         lhs = meet[x, join]                  # [y, z] -> x ^ (y v z)
@@ -60,11 +46,11 @@ def distributive_violation_numpy(join, meet):
         if viol.any():
             y, z = np.argwhere(viol)[0]
             return x, int(y), int(z)
-    return _NO_WITNESS
+    return None
 
 
-def pentagon_search_numpy(join, meet, leq):
-    """Lexicographically least pentagon (z, a, x, y, w), or all -1.
+def pentagon_search(join, meet, leq):
+    """Lexicographically least pentagon (z, a, x, y, w), or None.
 
     Pentagon: x < y; a incomparable to both; a^x = a^y = z; avx = avy = w.
     """
@@ -90,11 +76,11 @@ def pentagon_search_numpy(join, meet, leq):
         cand = (int(zs[i]), a, int(xs[i]), int(ys[i]), int(ws[i]))
         if best is None or cand < best:
             best = cand
-    return best if best is not None else (-1, -1, -1, -1, -1)
+    return best
 
 
-def diamond_search_numpy(join, meet, leq):
-    """Lexicographically least diamond (z, a, b, c, w) with a < b < c, or all -1.
+def diamond_search(join, meet, leq):
+    """Lexicographically least diamond (z, a, b, c, w) with a < b < c, or None.
 
     Diamond: a, b, c pairwise incomparable, all pairwise meets = z, joins = w.
     """
@@ -124,115 +110,4 @@ def diamond_search_numpy(join, meet, leq):
         cand = (int(zs[i]), a, int(bs[i]), int(cs[i]), int(ws[i]))
         if best is None or cand < best:
             best = cand
-    return best if best is not None else (-1, -1, -1, -1, -1)
-
-
-# --- loop implementations (compiled under numba) ----------------------------
-
-def _modular_violation_loops(join, meet, leq):
-    n = join.shape[0]
-    for z in range(n):
-        for x in range(n):
-            if not leq[x, z]:
-                continue
-            for y in range(n):
-                if join[x, meet[y, z]] != meet[join[x, y], z]:
-                    return x, y, z
-    return -1, -1, -1
-
-
-def _distributive_violation_loops(join, meet):
-    n = join.shape[0]
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if meet[x, join[y, z]] != join[meet[x, y], meet[x, z]]:
-                    return x, y, z
-    return -1, -1, -1
-
-
-def _pentagon_search_loops(join, meet, leq):
-    n = join.shape[0]
-    bz = bab = bx = by = bw = -1
-    for a in range(n):
-        for x in range(n):
-            if leq[a, x] or leq[x, a]:
-                continue
-            z = meet[a, x]
-            w = join[a, x]
-            for y in range(n):
-                if y == x or not leq[x, y]:
-                    continue
-                if leq[a, y] or leq[y, a]:
-                    continue
-                if meet[a, y] != z or join[a, y] != w:
-                    continue
-                if bz == -1 or (z, a, x, y, w) < (bz, bab, bx, by, bw):
-                    bz, bab, bx, by, bw = z, a, x, y, w
-    return bz, bab, bx, by, bw
-
-
-def _diamond_search_loops(join, meet, leq):
-    n = join.shape[0]
-    bz = ba = bb = bc = bw = -1
-    for a in range(n):
-        for b in range(a + 1, n):
-            if leq[a, b] or leq[b, a]:
-                continue
-            z = meet[a, b]
-            w = join[a, b]
-            for c in range(b + 1, n):
-                if leq[a, c] or leq[c, a] or leq[b, c] or leq[c, b]:
-                    continue
-                if meet[a, c] != z or meet[b, c] != z:
-                    continue
-                if join[a, c] != w or join[b, c] != w:
-                    continue
-                if bz == -1 or (z, a, b, c, w) < (bz, ba, bb, bc, bw):
-                    bz, ba, bb, bc, bw = z, a, b, c, w
-    return bz, ba, bb, bc, bw
-
-
-if HAVE_NUMBA:
-    modular_violation_numba = njit(cache=True)(_modular_violation_loops)
-    distributive_violation_numba = njit(cache=True)(_distributive_violation_loops)
-    pentagon_search_numba = njit(cache=True)(_pentagon_search_loops)
-    diamond_search_numba = njit(cache=True)(_diamond_search_loops)
-
-
-# --- public dispatch --------------------------------------------------------
-
-def modular_violation(join, meet, leq):
-    raw = (
-        modular_violation_numba(join, meet, leq)
-        if USE_NUMBA
-        else modular_violation_numpy(join, meet, leq)
-    )
-    return None if raw[0] == -1 else tuple(int(v) for v in raw)
-
-
-def distributive_violation(join, meet):
-    raw = (
-        distributive_violation_numba(join, meet)
-        if USE_NUMBA
-        else distributive_violation_numpy(join, meet)
-    )
-    return None if raw[0] == -1 else tuple(int(v) for v in raw)
-
-
-def pentagon_search(join, meet, leq):
-    raw = (
-        pentagon_search_numba(join, meet, leq)
-        if USE_NUMBA
-        else pentagon_search_numpy(join, meet, leq)
-    )
-    return None if raw[1] == -1 else tuple(int(v) for v in raw)
-
-
-def diamond_search(join, meet, leq):
-    raw = (
-        diamond_search_numba(join, meet, leq)
-        if USE_NUMBA
-        else diamond_search_numpy(join, meet, leq)
-    )
-    return None if raw[1] == -1 else tuple(int(v) for v in raw)
+    return best

@@ -61,11 +61,6 @@ def total_degree(m: Monomial) -> int:
     return sum(m)
 
 
-def support(m: Monomial) -> frozenset:
-    """1-based indices of the variables appearing in m."""
-    return frozenset(i + 1 for i, e in enumerate(m) if e > 0)
-
-
 def is_squarefree(m: Monomial) -> bool:
     return all(e <= 1 for e in m)
 

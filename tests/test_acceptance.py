@@ -10,7 +10,6 @@ import time
 
 import pytest
 
-from lcmlat import kernels
 from lcmlat.audit import GeneratorConfig, audit_batch, audit_instance, small_lattice_pool
 from lcmlat.lattice import (
     build_lcm_lattice,
@@ -32,7 +31,7 @@ from lcmlat.conditions import degree1_path_check, predicts_modular
 
 @pytest.fixture(scope="module", autouse=True)
 def _warm_kernels():
-    # pay any JIT compilation cost before the first timed criterion
+    # pay first-call costs before the first timed criterion
     from lcmlat.monomials import Hypergraph
 
     lat = build_lcm_lattice(

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lcmlat import properties
 from lcmlat.cli import run_cli
 
 FIG3_IDEAL = "ring 6\nx1*x2*x3\nx2*x3*x4\nx4*x5*x6\n"
@@ -75,6 +76,19 @@ class TestCheck:
             "boolean", "modular", "distributive",
             "complemented", "relatively-complemented",
         ]
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch, tetra_file):
+        def disagree(L):
+            raise RuntimeError("boolean routes disagree: planted")
+
+        monkeypatch.setattr(properties, "all_properties", disagree)
+        code, out, err = run(capsys, "check", "--hypergraph", tetra_file, "--assert")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert json.loads(err) == {
+            "error": "boolean routes disagree: planted", "internal": "RuntimeError",
+        }
 
     def test_assert_mode(self, capsys, fig3_ideal_file):
         code, out, _ = run(capsys, "check", "--ideal", fig3_ideal_file,

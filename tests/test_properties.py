@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from lcmlat.lattice import (
@@ -8,7 +10,7 @@ from lcmlat.lattice import (
     interval,
     pentagon_lattice,
 )
-from lcmlat.monomials import Hypergraph, MonomialIdeal, edge_ideal
+from lcmlat.monomials import Hypergraph, MonomialIdeal, edge_ideal, lcm, monomial_str, unit
 from lcmlat.properties import (
     complements_of,
     find_m3,
@@ -45,6 +47,57 @@ class TestBoolean:
     def test_single_generator(self):
         L = build_lcm_lattice(MonomialIdeal.make(2, [(1, 1)]))
         assert is_boolean(L).holds
+
+    def test_sixteen_generators_small_lattice(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("is_boolean must not build a reference lattice")
+
+        monkeypatch.setattr("lcmlat.properties.boolean_lattice", refuse)
+        monkeypatch.setattr("lcmlat.properties.is_isomorphic", refuse)
+        I = MonomialIdeal.make(2, [(i, 15 - i) for i in range(16)])
+        L = build_lcm_lattice(I)
+        assert (L.atom_count, L.size) == (16, 137)
+        verdict = is_boolean(L)
+        assert not verdict.holds
+        assert verdict.witness == _first_collision_from_scratch(L)
+        assert verdict.witness["subset_a"] == [1, 2, 3]
+
+    @pytest.mark.parametrize("edges", [
+        [(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1)],  # Boolean, 8 elements
+        [(1, 1, 1, 0, 0, 0), (0, 1, 1, 1, 0, 0), (0, 0, 0, 1, 1, 1)],  # not, 7 elements
+    ])
+    def test_routes_disagree_raises(self, edges):
+        L = build_lcm_lattice(MonomialIdeal.make(6, edges))
+        # drop or repeat one element so the count says the opposite of the scan
+        wrong = replace(L, elements=(L.elements * 2)[:15 - L.size])
+        with pytest.raises(RuntimeError, match="boolean routes disagree"):
+            is_boolean(wrong)
+
+    def test_ten_edge_matching(self):
+        L = build_lcm_lattice(edge_ideal(Hypergraph.make(
+            20, [{2 * i + 1, 2 * i + 2} for i in range(10)])))
+        assert L.size == 1024
+        verdict = is_boolean(L)
+        assert verdict.holds and verdict.witness is None
+
+
+def _first_collision_from_scratch(L):
+    """Each subset's lcm folded from the unit, masks in increasing order."""
+    gens, m = L.ideal.generators, L.atom_count
+    seen = {}
+    for mask in range(1 << m):
+        acc = unit(L.ideal.ring_dimension)
+        for i in range(m):
+            if mask >> i & 1:
+                acc = lcm(acc, gens[i])
+        if acc in seen:
+            return {
+                "subset_a": [i + 1 for i in range(m) if mask >> i & 1],
+                "subset_b": [i + 1 for i in range(m) if seen[acc] >> i & 1],
+                "shared_lcm": monomial_str(acc),
+            }
+        seen[acc] = mask
+    return None
 
 
 class TestModular:
