@@ -356,6 +356,13 @@ def _instances_for(theorem: str, cfg: GeneratorConfig, exhaustive: bool | None):
                 yield (left, right)
         return
     if theorem in ("polarization-iso", "birkhoff-crosscheck"):
+        # with no variable or no positive exponent every draw is the unit
+        # monomial, which random_monomial_ideal redraws forever
+        if cfg.max_exponent < 1 or cfg.n_range[0] < 1:
+            raise ValueError(
+                "ideal sampling needs max_exponent >= 1 and n >= 1; got "
+                f"max_exponent {cfg.max_exponent}, n range {cfg.n_range}"
+            )
         rng = SplitMix64(cfg.seed)
         emitted = 0
         attempts = 0

@@ -23,7 +23,11 @@ from .monomials import MonomialIdeal, monomial_str, total_degree, unit
 
 DEFAULT_MAX_GENERATORS = 16
 DEFAULT_MAX_ELEMENTS = 65536
-DEFAULT_MAX_PRODUCT = 250000
+# product() peaks at about 21 bytes per cell of its N x N tables, N = |L1|*|L2|:
+# the bool leq (1) and int32 join (4) it keeps while building meet, whose int64
+# outer sum and its transposed int64 copy (8 + 8) are alive at once. N = 80^2
+# keeps that peak at 21 * 6400^2 = 0.86e9 bytes, under 1 GB.
+DEFAULT_MAX_PRODUCT = 6400
 # the divisor-bitmask key of build_lcm_lattice is one uint64
 MAX_KEY_BITS = 64
 # rough bound on the bytes of each blocked temporary in build_lcm_lattice

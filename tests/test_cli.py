@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lcmlat
 from lcmlat import properties
 from lcmlat.cli import run_cli
 
@@ -150,6 +155,16 @@ class TestProductIso:
         assert len(obj["elements"]) == 4
         assert obj["complemented"] is True
 
+    def test_product_refused_past_cap(self, capsys, tmp_path):
+        # a 7-edge and a 6-edge matching: 128 * 64 elements, past the product cap
+        a = tmp_path / "a.ideal"
+        a.write_text("ring 14\n" + "".join(f"x{2 * i + 1}*x{2 * i + 2}\n" for i in range(7)))
+        b = tmp_path / "b.ideal"
+        b.write_text("ring 12\n" + "".join(f"x{2 * i + 1}*x{2 * i + 2}\n" for i in range(6)))
+        code, out, err = run(capsys, "product", "--ideal", str(a), "--ideal", str(b))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "product size 8192 exceeds the cap 6400"}
+
     def test_product_needs_two(self, capsys, tmp_path):
         a = tmp_path / "a.ideal"
         a.write_text("ring 2\nx1*x2\n")
@@ -176,6 +191,23 @@ class TestAudit:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    @pytest.mark.parametrize("argv", [
+        ("--theorem", "birkhoff-crosscheck", "--max-exponent", "0"),
+        ("--theorem", "polarization-iso", "--max-exponent", "0"),
+        ("--theorem", "birkhoff-crosscheck", "--n", "0..2"),
+    ])
+    def test_unit_only_sampler_exits_2(self, argv):
+        # every draw would be the unit monomial, which the sampler redrew
+        # forever; a subprocess with a timeout turns a hang into a failure
+        src = str(Path(lcmlat.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "lcmlat.cli", "audit", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "max_exponent >= 1 and n >= 1" in json.loads(done.stderr)["error"]
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "audit", "--theorem", "boolean", "--n", "5..2")

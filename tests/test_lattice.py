@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -185,6 +186,28 @@ class TestProduct:
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
             product(boolean_lattice(3), boolean_lattice(3), max_size=10)
+
+    def test_default_cap_refuses_just_past_it_before_allocating(self):
+        L1, L2 = chain_lattice(37), chain_lattice(173)
+        assert L1.size * L2.size == lattice.DEFAULT_MAX_PRODUCT + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="product size 6401 exceeds the cap 6400"):
+                product(L1, L2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_default_cap_keeps_peak_under_1gb(self):
+        # peak bytes per table cell of a small product, scaled to the cap
+        tracemalloc.start()
+        try:
+            P = product(chain_lattice(30), chain_lattice(20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / P.size**2 * lattice.DEFAULT_MAX_PRODUCT**2 < 1e9
 
 
 class TestBooleanLattice:

@@ -1,7 +1,10 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lcmlat import properties
 from lcmlat.lattice import (
     boolean_lattice,
     build_lcm_lattice,
@@ -9,9 +12,11 @@ from lcmlat.lattice import (
     diamond_lattice,
     interval,
     pentagon_lattice,
+    product,
 )
 from lcmlat.monomials import Hypergraph, MonomialIdeal, edge_ideal, lcm, monomial_str, unit
 from lcmlat.properties import (
+    PropertyVerdict,
     complements_of,
     find_m3,
     find_n5,
@@ -21,6 +26,25 @@ from lcmlat.properties import (
     is_modular,
     is_relatively_complemented,
 )
+
+
+def _small_ideal_strategy(n_max=3, m_max=5, e_max=2):
+    return (
+        st.integers(2, n_max)
+        .flatmap(lambda n: st.lists(st.tuples(*[st.integers(0, e_max)] * n),
+                                    min_size=1, max_size=m_max))
+        .map(lambda gens: [g for g in gens if any(g)])
+        .filter(bool)
+        .map(lambda gens: MonomialIdeal.make(len(gens[0]), gens))
+    )
+
+
+def _edge_ideal_strategy(n_max=6, m_max=6):
+    return st.integers(2, n_max).flatmap(
+        lambda n: st.lists(st.sets(st.integers(1, n), min_size=2, max_size=2),
+                           min_size=1, max_size=m_max, unique_by=frozenset)
+        .map(lambda edges: edge_ideal(Hypergraph.make(n, edges)))
+    )
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +247,30 @@ class TestComplemented:
         assert verdict.witness["element"]["label"] == "x2*x3*x4"
 
 
+def _graph_lattice(n, edges):
+    return lambda: build_lcm_lattice(edge_ideal(Hypergraph.make(n, edges))).lattice
+
+
+_FIXED_LATTICES = {
+    **{f"chain{n}": (lambda n=n: chain_lattice(n)) for n in range(1, 6)},
+    "N5": pentagon_lattice,
+    "M3": diamond_lattice,
+    **{f"boolean{r}": (lambda r=r: boolean_lattice(r)) for r in range(4)},
+    "N5xchain3": lambda: product(pentagon_lattice(), chain_lattice(3)),
+    "M3xM3": lambda: product(diamond_lattice(), diamond_lattice()),
+    "P4": _graph_lattice(4, [{1, 2}, {2, 3}, {3, 4}]),
+    "triangle": _graph_lattice(3, [{1, 2}, {1, 3}, {2, 3}]),
+    "fig3": _graph_lattice(6, [{1, 2, 3}, {2, 3, 4}, {4, 5, 6}]),
+    "fig5": _graph_lattice(4, [{1, 2}, {1, 3}, {2, 4}]),
+    "tetra": _graph_lattice(4, [{1, 2, 3}, {1, 2, 4}, {1, 3, 4}, {2, 3, 4}]),
+    # least failing intervals of equal size, where sorting ties by (y, x)
+    # instead of (x, y) picks another one
+    "P5-relabeled": _graph_lattice(5, [{2, 4}, {3, 5}, {1, 2}, {4, 5}]),
+    "five-generators": lambda: build_lcm_lattice(MonomialIdeal.make(
+        3, [(0, 2, 1), (2, 1, 0), (1, 1, 1), (0, 1, 2), (1, 0, 2)])).lattice,
+}
+
+
 class TestRelativelyComplemented:
     def test_p4_fails_with_chain_interval(self, p4_lattice):
         lat = p4_lattice.lattice
@@ -244,6 +292,66 @@ class TestRelativelyComplemented:
 
     def test_triangle_lattice(self, triangle_lattice):
         assert is_relatively_complemented(triangle_lattice.lattice).holds
+
+    @pytest.mark.parametrize("name", sorted(_FIXED_LATTICES))
+    def test_matches_interval_scan_fixed(self, name):
+        L = _FIXED_LATTICES[name]()
+        assert is_relatively_complemented(L) == _relatively_complemented_by_intervals(L)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(_small_ideal_strategy(), _edge_ideal_strategy()))
+    def test_matches_interval_scan_random(self, I):
+        L = build_lcm_lattice(I).lattice
+        assert is_relatively_complemented(L) == _relatively_complemented_by_intervals(L)
+
+    def test_builds_one_sublattice_on_failure_none_on_success(self, p4_lattice,
+                                                              monkeypatch):
+        calls = []
+
+        def counting(L, x, y):
+            calls.append((x, y))
+            return interval(L, x, y)
+
+        monkeypatch.setattr(properties, "interval", counting)
+        is_relatively_complemented(p4_lattice.lattice)
+        assert len(calls) == 1
+        calls.clear()
+        is_relatively_complemented(boolean_lattice(3))
+        assert calls == []
+
+    def test_routes_disagree_raises(self, p4_lattice, monkeypatch):
+        monkeypatch.setattr(properties, "is_complemented",
+                            lambda sub: PropertyVerdict("complemented", True))
+        with pytest.raises(RuntimeError, match="relatively-complemented routes disagree"):
+            is_relatively_complemented(p4_lattice.lattice)
+
+    def test_ten_edge_matching(self):
+        L = build_lcm_lattice(edge_ideal(Hypergraph.make(
+            20, [{2 * i + 1, 2 * i + 2} for i in range(10)])))
+        assert L.size == 1024
+        verdict = is_relatively_complemented(L.lattice)
+        assert verdict.holds and verdict.witness is None
+
+
+def _relatively_complemented_by_intervals(L):
+    """Oracle: build every interval [x, y] as a sublattice, smallest first
+    (ties by (x, y)), and test it with is_complemented."""
+    sizes = []
+    for x in range(L.size):
+        for y in range(L.size):
+            if L.leq[x, y]:
+                sizes.append((int((L.leq[x] & L.leq[:, y]).sum()), x, y))
+    for _, x, y in sorted(sizes):
+        sub, idx = interval(L, x, y)
+        verdict = is_complemented(sub)
+        if not verdict.holds:
+            inner = idx[verdict.witness["element"]["index"]]
+            return PropertyVerdict("relatively-complemented", False, {
+                "interval_bottom": {"index": x, "label": L.labels[x]},
+                "interval_top": {"index": y, "label": L.labels[y]},
+                "element": {"index": inner, "label": L.labels[inner]},
+            })
+    return PropertyVerdict("relatively-complemented", True)
 
 
 class TestImplicationChain:
