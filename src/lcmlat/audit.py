@@ -355,6 +355,10 @@ def _instances_for(theorem: str, cfg: GeneratorConfig, exhaustive: bool | None):
             for right in pool:
                 yield (left, right)
         return
+    # every other stream draws or enumerates m edges or generators, and an
+    # ideal with none has no atoms to audit
+    if cfg.m_range[0] < 1:
+        raise ValueError(f"audit needs m >= 1; got m range {cfg.m_range}")
     if theorem in ("polarization-iso", "birkhoff-crosscheck"):
         # with no variable or no positive exponent every draw is the unit
         # monomial, which random_monomial_ideal redraws forever

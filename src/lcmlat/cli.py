@@ -16,6 +16,8 @@ from pathlib import Path
 from . import audit as audit_mod
 from . import conditions, properties
 from .lattice import (
+    DEFAULT_MAX_ELEMENTS,
+    DEFAULT_MAX_GENERATORS,
     build_lcm_lattice,
     is_isomorphic,
     lattice_dot,
@@ -72,8 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--ideal", help="ideal file")
             p.add_argument("--hypergraph", help="hypergraph JSON file")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--max-generators", type=int, default=16)
-        p.add_argument("--max-lattice", type=int, default=65536)
+        p.add_argument("--max-generators", type=int, default=DEFAULT_MAX_GENERATORS)
+        p.add_argument("--max-lattice", type=int, default=DEFAULT_MAX_ELEMENTS)
 
     p = sub.add_parser("build", help="construct an lcm-lattice")
     add_input_flags(p)

@@ -22,7 +22,13 @@ import numpy as np
 from .monomials import MonomialIdeal, monomial_str, total_degree, unit
 
 DEFAULT_MAX_GENERATORS = 16
-DEFAULT_MAX_ELEMENTS = 65536
+# `check --property all` peaks at about 24 bytes per cell of the N x N tables
+# (measured with tracemalloc at N = 448..2048, modular or not): the bool leq
+# and int32 join/meet (1 + 4 + 4) plus the searches' int32 cancellation keys,
+# the int64 argsort of their rows and two bool masks (4 + 8 + 2). N = 6000
+# keeps that peak at 24.4 * 6000^2 = 0.88e9 bytes, under 1 GB; a 12-edge
+# matching (4096 elements) still builds.
+DEFAULT_MAX_ELEMENTS = 6000
 # product() peaks at about 21 bytes per cell of its N x N tables, N = |L1|*|L2|:
 # the bool leq (1) and int32 join (4) it keeps while building meet, whose int64
 # outer sum and its transposed int64 copy (8 + 8) are alive at once. N = 80^2

@@ -209,6 +209,27 @@ class TestAudit:
         assert (done.returncode, done.stdout) == (2, "")
         assert "max_exponent >= 1 and n >= 1" in json.loads(done.stderr)["error"]
 
+    @pytest.mark.parametrize("theorem,m", [
+        ("boolean", "0..0"),
+        ("modular", "0..0"),
+        ("birkhoff-crosscheck", "0..0"),
+        ("polarization-iso", "0..0"),
+        ("graph-complemented", "0..2"),
+    ])
+    def test_m_below_1_exits_2(self, theorem, m):
+        # m = 0 asks for ideals with no generators; a subprocess with a
+        # timeout turns a sampler that redraws forever into a failure
+        src = str(Path(lcmlat.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "lcmlat.cli", "audit", "--theorem", theorem, "--m", m],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1
+        assert "audit needs m >= 1" in json.loads(lines[0])["error"]
+
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "audit", "--theorem", "boolean", "--n", "5..2")
         assert code == 2

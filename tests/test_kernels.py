@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcmlat import kernels
 from lcmlat.audit import GeneratorConfig, SplitMix64, random_monomial_ideal
 from lcmlat.lattice import (
+    FiniteLattice,
     boolean_lattice,
     build_lcm_lattice,
     chain_lattice,
@@ -10,6 +14,7 @@ from lcmlat.lattice import (
     pentagon_lattice,
     product,
 )
+from strategies import ideal_strategy
 
 # --- triple-loop oracles: the definitions, scanned in each kernel's order ---
 
@@ -77,27 +82,84 @@ def _diamond_search_loops(join, meet, leq):
     return best
 
 
+def _permuted(L, new):
+    """L with element i renumbered new[i]."""
+    new = np.asarray(new)
+    old = np.argsort(new)
+    ix = np.ix_(old, old)
+    return FiniteLattice(
+        L.leq[ix], new[L.join_table[ix]].astype(np.int32), new[L.meet_table[ix]].astype(np.int32)
+    )
+
+
+def _shuffled(L, seed):
+    """A random renumbering of L that moves the bottom off index 0."""
+    new = np.random.default_rng(seed).permutation(L.size)
+    if new[L.bottom] == 0:
+        new = (new + 1) % L.size
+    return _permuted(L, new)
+
+
+def _pentagon_cutoff_lattice():
+    """Side 0 heads the least pentagon, bottom 1. Side 5 heads one with the same
+    bottom, and its row also repeats the key (0, 8) on the incomparable 6, 7,
+    so row 5 is scanned and only the strict best-bottom cutoff skips its
+    pentagon."""
+    covers = [(1, 0), (1, 2), (1, 3), (3, 4), (4, 9), (2, 9), (0, 5), (0, 6), (0, 7),
+              (5, 8), (6, 8), (7, 8), (8, 9)]
+    return FiniteLattice.from_covers(10, covers)
+
+
+def _diamond_cutoff_lattice():
+    """M4 on 2..5 over bottom 1 and a chain 7 < 8 beside it: the least diamond
+    is (1, 2, 3, 4, 6); row 3 heads (1, 3, 4, 5, 6) with the same bottom and
+    repeats the key (0, 9) on 7 < 8, so only the strict cutoff skips it."""
+    covers = [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 6), (3, 6), (4, 6), (5, 6),
+              (6, 9), (0, 7), (7, 8), (8, 9)]
+    return FiniteLattice.from_covers(10, covers)
+
+
+def _two_diamond_tops():
+    """Diamonds {1, 2, 3} and {1, 4, 5} over bottom 0, with tops 7 and 6: the
+    first diamond through 1 has the larger top."""
+    covers = [(0, i) for i in range(1, 6)]
+    covers += [(1, 7), (2, 7), (3, 7), (1, 6), (4, 6), (5, 6), (6, 8), (7, 8)]
+    return FiniteLattice.from_covers(9, covers)
+
+
+def _random_lattices(seed, cfg, count=20):
+    rng = SplitMix64(seed)
+    return [build_lcm_lattice(random_monomial_ideal(cfg, rng)).lattice for _ in range(count)]
+
+
 def _sample_lattices():
-    yield chain_lattice(4)
-    yield pentagon_lattice()
-    yield diamond_lattice()
-    yield boolean_lattice(3)
-    yield product(pentagon_lattice(), chain_lattice(3))
-    rng = SplitMix64(7)
+    """(test id, lattice) pairs."""
+    N5, M3 = pentagon_lattice(), diamond_lattice()
     cfg = GeneratorConfig(n_range=(3, 5), m_range=(2, 4), max_exponent=3)
-    for _ in range(20):
-        yield build_lcm_lattice(random_monomial_ideal(cfg, rng)).lattice
     # larger lattices, where one side element can head several pentagons with
     # the same bottom, so the (x, y) tie-break of pentagon_search is exercised
-    rng = SplitMix64(3)
-    cfg = GeneratorConfig(n_range=(4, 5), m_range=(3, 5), max_exponent=3)
-    for _ in range(20):
-        yield build_lcm_lattice(random_monomial_ideal(cfg, rng)).lattice
+    larger = _random_lattices(3, GeneratorConfig(n_range=(4, 5), m_range=(3, 5), max_exponent=3))
+    sized = [chain_lattice(4), N5, M3, boolean_lattice(3), product(N5, chain_lattice(3)),
+             *_random_lattices(7, cfg), *larger]
+    yield from ((f"n{L.size}", L) for L in sized)
+    # modular but not distributive: fibers collide, yet no pentagon exists
+    yield "M3xM3", product(M3, M3)
+    yield "M3xchain3", product(M3, chain_lattice(3))
+    # every cancellation fiber a singleton
+    yield "boolean5", boolean_lattice(5)
+    yield "N5xM3", product(N5, M3)
+    yield "pentagon_cutoff", _pentagon_cutoff_lattice()
+    yield "diamond_cutoff", _diamond_cutoff_lattice()
+    yield "two_diamond_tops", _two_diamond_tops()
+    # renumbered copies: the bottom is not index 0 and the searches meet their
+    # candidates, and lower their best-bottom cutoff, in a non-canonical order
+    yield "shuffled_N5", _shuffled(N5, 0)
+    yield "shuffled_N5xchain3", _shuffled(product(N5, chain_lattice(3)), 1)
+    for i, L in enumerate(larger[::2]):
+        yield f"shuffled_random{i}", _shuffled(L, i + 2)
 
 
-@pytest.mark.parametrize("lattice", list(_sample_lattices()), ids=lambda L: f"n{L.size}")
-def test_backend_parity(lattice):
-    """Each numpy kernel returns the same witness as its triple-loop oracle."""
+def _assert_parity(lattice):
     tables = (lattice.join_table, lattice.meet_table, lattice.leq)
     assert kernels.modular_violation(*tables) == _modular_violation_loops(*tables)
     assert kernels.distributive_violation(*tables[:2]) == _distributive_violation_loops(
@@ -105,6 +167,23 @@ def test_backend_parity(lattice):
     )
     assert kernels.pentagon_search(*tables) == _pentagon_search_loops(*tables)
     assert kernels.diamond_search(*tables) == _diamond_search_loops(*tables)
+
+
+_SAMPLES = list(_sample_lattices())
+
+
+@pytest.mark.parametrize("lattice", [L for _, L in _SAMPLES], ids=[i for i, _ in _SAMPLES])
+def test_backend_parity(lattice):
+    """Each numpy kernel returns the same witness as its triple-loop oracle."""
+    _assert_parity(lattice)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_parity_on_random_ideals(data):
+    """Parity on random lcm-lattices, renumbered by a random permutation."""
+    L = build_lcm_lattice(data.draw(ideal_strategy(4, 6, 2))).lattice
+    _assert_parity(_permuted(L, data.draw(st.permutations(range(L.size)))))
 
 
 def test_known_witnesses():
@@ -117,3 +196,25 @@ def test_known_witnesses():
     assert kernels.diamond_search(*tables) == (0, 1, 2, 3, 4)
     assert kernels.modular_violation(*tables) is None
     assert kernels.pentagon_search(*tables) is None
+
+
+@pytest.mark.parametrize("small,search,oracle", [
+    (pentagon_lattice(), kernels.pentagon_search, _pentagon_search_loops),
+    (pentagon_lattice(), kernels.diamond_search, _diamond_search_loops),
+    (diamond_lattice(), kernels.diamond_search, _diamond_search_loops),
+], ids=["N5-pentagon", "N5-diamond", "M3-diamond"])
+def test_least_witness_on_large_products(small, search, oracle):
+    """2560 elements, past SWEEP_LIMIT, where the deciders rely on the
+    searches alone and no loop oracle is affordable. In small x B9, a
+    pentagon or diamond maps into the distributive B9 by a homomorphism that
+    is constant on it (M3 is simple, and every congruence of N5 but the
+    identity joins x and y), so it maps onto small one-to-one. The least
+    witness is small's own, with B9's bottom 0 in every coordinate: element
+    (i, j) sits at i * 512 + j. pentagon_search on the modular M3 x B9 is
+    left out: with no pentagon to cut it off, it scans all 1536 rows with
+    repeated keys (about 11 s)."""
+    L = product(small, boolean_lattice(9))
+    expected = oracle(small.join_table, small.meet_table, small.leq)
+    assert search(L.join_table, L.meet_table, L.leq) == (
+        expected and tuple(512 * i for i in expected)
+    )

@@ -34,23 +34,8 @@ from lcmlat.monomials import (
     monomial_str,
     polarize,
 )
-from lcmlat.properties import is_complemented
-
-
-def random_ideal_strategy(n_max=4, m_max=5, e_max=3):
-    return (
-        st.integers(2, n_max)
-        .flatmap(
-            lambda n: st.lists(
-                st.tuples(*[st.integers(0, e_max)] * n),
-                min_size=1,
-                max_size=m_max,
-            )
-        )
-        .map(lambda gens: [g for g in gens if any(g)])
-        .filter(bool)
-        .map(lambda gens: MonomialIdeal.make(len(gens[0]), gens))
-    )
+from lcmlat.properties import SWEEP_LIMIT, all_properties, is_complemented
+from strategies import ideal_strategy
 
 
 class TestBuild:
@@ -346,7 +331,7 @@ class TestClosureOracle:
         assert L.lattice.labels == tuple(monomial_str(e) for e in expected)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.one_of(random_ideal_strategy(m_max=8), antichain_ideal_strategy()))
+    @given(st.one_of(ideal_strategy(4, 8, 3), antichain_ideal_strategy()))
     def test_join_closure_equals_subset_enumeration(self, I):
         self.check(I)
 
@@ -371,7 +356,7 @@ class TestClosureOracle:
             self.check(I)
 
     @settings(max_examples=20, deadline=None)
-    @given(random_ideal_strategy(n_max=4, m_max=6, e_max=3))
+    @given(ideal_strategy(4, 6, 3))
     def test_element_cap_boundary(self, I):
         size = len(enumerate_subset_lcms(I))
         assert build_lcm_lattice(I, max_elements=size).size == size
@@ -383,6 +368,56 @@ class TestClosureOracle:
         I = MonomialIdeal.make(n, [tuple(int(i == j) for i in range(n)) for j in range(n)])
         with pytest.raises(SizeLimitError, match="at most 64"):
             build_lcm_lattice(I, max_generators=n)
+
+
+def _disjoint_ideal(blocks):
+    """The sum of ideals in disjoint variables, whose lcm-lattice is the product."""
+    n = sum(len(block[0]) for block in blocks)
+    gens, offset = [], 0
+    for block in blocks:
+        for g in block:
+            gens.append((0,) * offset + g + (0,) * (n - offset - len(g)))
+        offset += len(block[0])
+    return MonomialIdeal.make(n, gens)
+
+
+def _staircase(g):
+    """x^i y^(g-1-i): g generators, 1 + g(g+1)/2 elements."""
+    return [(i, g - 1 - i) for i in range(g)]
+
+
+class TestElementCap:
+    def test_default_cap_keeps_check_peak_under_1gb(self):
+        # peak bytes per table cell of building and checking lattices past
+        # SWEEP_LIMIT (the tables plus the searches' n x n key temporaries),
+        # scaled to the cap; nothing of the cap's size is built
+        assert lattice.DEFAULT_MAX_ELEMENTS >= 1 << 12  # a 12-edge matching builds
+        edge, m3, p4 = [(1, 1)], [(1, 1, 0), (0, 1, 1), (1, 0, 1)], [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)]
+        for blocks in ([edge] * 9, [edge] * 6 + [p4], [m3] * 3 + [edge] * 2):
+            tracemalloc.start()
+            try:
+                L = build_lcm_lattice(_disjoint_ideal(blocks))
+                all_properties(L)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert L.size > SWEEP_LIMIT
+            assert peak / L.size**2 * lattice.DEFAULT_MAX_ELEMENTS**2 < 1e9
+
+    def test_default_cap_refuses_past_it_before_allocating(self):
+        # 2 * 7 * 16 * 29 = 6496 elements from 16 generators; the tables alone
+        # would take 6496^2 * 9 bytes = 380 MB
+        blocks = [[(1,)]] + [_staircase(g) for g in (3, 5, 7)]
+        assert [build_lcm_lattice(_disjoint_ideal([b])).size for b in blocks] == [2, 7, 16, 29]
+        I = _disjoint_ideal(blocks)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="lattice exceeds the element cap 6000$"):
+                build_lcm_lattice(I)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestExports:

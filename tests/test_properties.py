@@ -26,17 +26,7 @@ from lcmlat.properties import (
     is_modular,
     is_relatively_complemented,
 )
-
-
-def _small_ideal_strategy(n_max=3, m_max=5, e_max=2):
-    return (
-        st.integers(2, n_max)
-        .flatmap(lambda n: st.lists(st.tuples(*[st.integers(0, e_max)] * n),
-                                    min_size=1, max_size=m_max))
-        .map(lambda gens: [g for g in gens if any(g)])
-        .filter(bool)
-        .map(lambda gens: MonomialIdeal.make(len(gens[0]), gens))
-    )
+from strategies import ideal_strategy
 
 
 def _edge_ideal_strategy(n_max=6, m_max=6):
@@ -299,7 +289,7 @@ class TestRelativelyComplemented:
         assert is_relatively_complemented(L) == _relatively_complemented_by_intervals(L)
 
     @settings(max_examples=80, deadline=None)
-    @given(st.one_of(_small_ideal_strategy(), _edge_ideal_strategy()))
+    @given(st.one_of(ideal_strategy(3, 5, 2), _edge_ideal_strategy()))
     def test_matches_interval_scan_random(self, I):
         L = build_lcm_lattice(I).lattice
         assert is_relatively_complemented(L) == _relatively_complemented_by_intervals(L)
