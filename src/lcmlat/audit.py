@@ -344,8 +344,13 @@ def _enumerate_hypergraphs(cfg: GeneratorConfig, graph_only: bool):
                     yield Hypergraph.make(n, edges)
 
 
+def _check_sample_count(cfg: GeneratorConfig) -> None:
+    if cfg.count < 1:
+        raise ValueError(f"a sampled audit needs count >= 1; got count {cfg.count}")
+
+
 def _instances_for(theorem: str, cfg: GeneratorConfig, exhaustive: bool | None):
-    """Yield (instance, skipped_reason) pairs in a deterministic order."""
+    """Yield the theorem's instances in a deterministic order."""
     graph_only = theorem in ("graph-complemented", "relatively-complemented")
     needs_connected = graph_only
 
@@ -359,6 +364,10 @@ def _instances_for(theorem: str, cfg: GeneratorConfig, exhaustive: bool | None):
     # ideal with none has no atoms to audit
     if cfg.m_range[0] < 1:
         raise ValueError(f"audit needs m >= 1; got m range {cfg.m_range}")
+    # the hypergraph streams other than the graph-only ones draw k-subsets,
+    # and a 0-subset is an empty edge
+    if theorem in ("boolean", "modular", "hypergraph-complemented") and cfg.k_range[0] < 1:
+        raise ValueError(f"audit needs k >= 1; got k range {cfg.k_range}")
     if theorem in ("polarization-iso", "birkhoff-crosscheck"):
         # with no variable or no positive exponent every draw is the unit
         # monomial, which random_monomial_ideal redraws forever
@@ -367,18 +376,21 @@ def _instances_for(theorem: str, cfg: GeneratorConfig, exhaustive: bool | None):
                 "ideal sampling needs max_exponent >= 1 and n >= 1; got "
                 f"max_exponent {cfg.max_exponent}, n range {cfg.n_range}"
             )
+        _check_sample_count(cfg)
         rng = SplitMix64(cfg.seed)
         emitted = 0
         attempts = 0
+        last_error = None
         while emitted < cfg.count:
             attempts += 1
             if attempts > 4 * cfg.count + _REDRAW_LIMIT:
-                raise ValueError("ideal sampling retry budget exhausted")
+                raise ValueError(f"ideal sampling retry budget exhausted; last draw: {last_error}")
             try:
                 # infeasible (n, m) draws (antichain too large) are skipped;
                 # the stream stays deterministic because rng state advances
                 yield random_monomial_ideal(cfg, rng)
-            except ValueError:
+            except ValueError as exc:
+                last_error = exc
                 continue
             emitted += 1
         return
@@ -392,6 +404,7 @@ def _instances_for(theorem: str, cfg: GeneratorConfig, exhaustive: bool | None):
                 continue
             yield H
     else:
+        _check_sample_count(cfg)
         rng = SplitMix64(cfg.seed)
         emitted = 0
         attempts = 0

@@ -379,26 +379,28 @@ def atoms_of(L: FiniteLattice) -> list:
 
 
 def _strict_and_covers(L: FiniteLattice):
-    """The strict order a < b and the cover relation, as bool matrices.
+    """The strict order a < b as a bool matrix, and the between-count.
 
-    a < b is a cover unless some path a < c < b exists; paths are counted
-    by a float32 matmul of 0/1 entries, which cannot wrap: a sum of
-    non-negative terms is positive iff some term is.
+    between[a, b] is the number of c with a < c < b, a float32 matmul of
+    0/1 entries, exact below 2^24 elements. It is 0 unless a < b, so the
+    covers are strict & (between == 0) and the 3-element intervals are
+    between == 1.
     """
     strict = L.leq & ~np.eye(L.size, dtype=bool)
     as_float = strict.astype(np.float32)
-    return strict, strict & ~((as_float @ as_float) > 0)
+    return strict, as_float @ as_float
 
 
 def hasse_edges(L: FiniteLattice):
     """Cover pairs (a, b): a < b with nothing strictly between."""
-    _, covers = _strict_and_covers(L)
-    return [(int(a), int(b)) for a, b in np.argwhere(covers)]
+    strict, between = _strict_and_covers(L)
+    return [(int(a), int(b)) for a, b in np.argwhere(strict & (between == 0))]
 
 
 def _refine_invariants(L: FiniteLattice):
     """Iterated neighborhood refinement; isomorphism-invariant color per element."""
-    strict, covers = _strict_and_covers(L)
+    strict, between = _strict_and_covers(L)
+    covers = strict & (between == 0)
     counts = (strict.sum(axis=1), strict.sum(axis=0), covers.sum(axis=1), covers.sum(axis=0))
     color = list(zip(*(c.tolist() for c in counts)))
     above = [[] for _ in range(L.size)]

@@ -35,6 +35,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_subprocess(*argv):
+    """The CLI in a child process; the timeout turns a hang into a failure."""
+    src = str(Path(lcmlat.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "lcmlat.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def assert_one_error_line(done, message):
+    assert (done.returncode, done.stdout) == (2, "")
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    assert message in json.loads(lines[0])["error"]
+
+
 class TestBuild:
     def test_dot_fig3(self, capsys, fig3_ideal_file):
         code, out, err = run(capsys, "build", "--ideal", fig3_ideal_file, "--format", "dot")
@@ -105,6 +122,18 @@ class TestCheck:
         _, out1, _ = run(capsys, "check", "--ideal", fig3_ideal_file)
         _, out2, _ = run(capsys, "check", "--ideal", fig3_ideal_file)
         assert out1 == out2
+
+    def test_relatively_complemented_near_cap(self, tmp_path):
+        # the 12-edge matching is Boolean with 4096 elements, close to the
+        # default cap
+        p = tmp_path / "matching.json"
+        p.write_text(json.dumps({"n": 24, "edges": [[2 * i + 1, 2 * i + 2] for i in range(12)]}))
+        done = run_subprocess("check", "--hypergraph", str(p),
+                              "--property", "relatively-complemented")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout) == {
+            "property": "relatively-complemented", "holds": True, "witness": None,
+        }
 
 
 class TestConditions:
@@ -199,15 +228,9 @@ class TestAudit:
     ])
     def test_unit_only_sampler_exits_2(self, argv):
         # every draw would be the unit monomial, which the sampler redrew
-        # forever; a subprocess with a timeout turns a hang into a failure
-        src = str(Path(lcmlat.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-m", "lcmlat.cli", "audit", *argv],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert (done.returncode, done.stdout) == (2, "")
-        assert "max_exponent >= 1 and n >= 1" in json.loads(done.stderr)["error"]
+        # forever
+        done = run_subprocess("audit", *argv)
+        assert_one_error_line(done, "max_exponent >= 1 and n >= 1")
 
     @pytest.mark.parametrize("theorem,m", [
         ("boolean", "0..0"),
@@ -217,18 +240,36 @@ class TestAudit:
         ("graph-complemented", "0..2"),
     ])
     def test_m_below_1_exits_2(self, theorem, m):
-        # m = 0 asks for ideals with no generators; a subprocess with a
-        # timeout turns a sampler that redraws forever into a failure
-        src = str(Path(lcmlat.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-m", "lcmlat.cli", "audit", "--theorem", theorem, "--m", m],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert (done.returncode, done.stdout) == (2, "")
-        lines = done.stderr.splitlines()
-        assert len(lines) == 1
-        assert "audit needs m >= 1" in json.loads(lines[0])["error"]
+        # m = 0 asks for ideals with no generators, which a sampler redrew
+        # forever
+        done = run_subprocess("audit", "--theorem", theorem, "--m", m)
+        assert_one_error_line(done, "audit needs m >= 1")
+
+    @pytest.mark.parametrize("theorem", ["boolean", "modular", "hypergraph-complemented"])
+    def test_k_below_1_exits_2(self, theorem):
+        # k = 0 draws the empty edge
+        done = run_subprocess("audit", "--theorem", theorem, "--k", "0..1")
+        assert_one_error_line(done, "audit needs k >= 1; got k range (0, 1)")
+
+    @pytest.mark.parametrize("argv", [
+        ("--theorem", "birkhoff-crosscheck", "--count", "0"),
+        ("--theorem", "polarization-iso", "--count", "-1"),
+        ("--theorem", "hypergraph-complemented", "--n", "6..9", "--count", "0"),
+    ])
+    def test_count_below_1_on_sampled_stream_exits_2(self, argv):
+        done = run_subprocess("audit", *argv)
+        assert_one_error_line(done, "needs count >= 1; got count")
+
+    def test_count_ignored_by_exhaustive_stream(self):
+        done = run_subprocess("audit", "--theorem", "boolean", "--n", "2..3", "--count", "0")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout.splitlines()[-1])["summary"]["total"] == 9
+
+    def test_sampler_budget_names_infeasible_draw(self):
+        # no 3-generator antichain fits in one variable
+        done = run_subprocess("audit", "--theorem", "birkhoff-crosscheck",
+                              "--n", "1..1", "--m", "3..3")
+        assert_one_error_line(done, "could not reach 3 minimal generators in 1 variables")
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "audit", "--theorem", "boolean", "--n", "5..2")
