@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
+from operator import le
 from pathlib import Path
 
 from . import conditions, kernels, properties
@@ -27,10 +28,10 @@ from .lattice import (
     product,
 )
 from .monomials import (
+    MAX_EXPONENT,
     Hypergraph,
     MonomialIdeal,
     edge_ideal,
-    minimalize,
     monomial_str,
     polarize,
 )
@@ -66,22 +67,31 @@ class SplitMix64:
         self.state = seed & self.MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + self.GAMMA) & self.MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
-        return z ^ (z >> 31)
+        return self.draws(0, self.MASK, 1)[0]
 
     def below(self, bound: int) -> int:
         if bound <= 0:
             raise ValueError("bound must be positive")
-        return self.next_u64() % bound
+        return self.draws(0, bound - 1, 1)[0]
 
     def in_range(self, lo: int, hi: int) -> int:
         """Uniform draw from the inclusive range lo..hi."""
+        return self.draws(lo, hi, 1)[0]
+
+    def draws(self, lo: int, hi: int, count: int) -> list:
+        """count uniform draws from lo..hi, advancing the state once per draw."""
         if lo > hi:
             raise ValueError(f"empty range {lo}..{hi}")
-        return lo + self.below(hi - lo + 1)
+        span = hi - lo + 1
+        mask, state = self.MASK, self.state
+        out = []
+        for _ in range(count):
+            state = (state + self.GAMMA) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            out.append(lo + (z ^ (z >> 31)) % span)
+        self.state = state
+        return out
 
 
 @dataclass(frozen=True)
@@ -145,22 +155,37 @@ def random_uniform_hypergraph(cfg: GeneratorConfig, rng: SplitMix64 | None = Non
 
 
 def random_monomial_ideal(cfg: GeneratorConfig, rng: SplitMix64 | None = None) -> MonomialIdeal:
-    """m random monomials minimalized; redraws top up the set, with a budget."""
+    """m random non-unit monomials in n variables, kept as an antichain.
+
+    The first round draws m monomials; each later round, while fewer than
+    m survive, draws m minus the survivors, up to _REDRAW_LIMIT rounds.
+    Each draw is inserted into the antichain held so far: it is skipped if
+    a survivor divides it; otherwise the survivors it divides are dropped
+    and it is appended. The survivors are an antichain processed first and
+    in order, so after every round they equal, in value and order,
+    minimalize of everything drawn so far.
+    """
     rng = rng if rng is not None else SplitMix64(cfg.seed)
     n = rng.in_range(*cfg.n_range)
     m = rng.in_range(*cfg.m_range)
+    gens = []
 
-    def draw():
-        while True:
-            mono = tuple(rng.in_range(0, cfg.max_exponent) for _ in range(n))
-            if any(mono):
-                return mono
+    def top_up():
+        for _ in range(m - len(gens)):
+            while True:
+                mono = tuple(rng.draws(0, cfg.max_exponent, n))
+                if any(mono):
+                    break
+            # all(map(le, h, g)) is "h divides g"; every draw has n exponents
+            if not any(all(map(le, h, mono)) for h in gens):
+                gens[:] = [h for h in gens if not all(map(le, mono, h))]
+                gens.append(mono)
 
-    gens = minimalize([draw() for _ in range(m)])
+    top_up()
     for _ in range(_REDRAW_LIMIT):
         if len(gens) >= m:
             break
-        gens = minimalize(gens + [draw() for _ in range(m - len(gens))])
+        top_up()
     else:
         raise ValueError(
             f"could not reach {m} minimal generators in {n} variables "
@@ -375,6 +400,13 @@ def _instances_for(theorem: str, cfg: GeneratorConfig, exhaustive: bool | None):
             raise ValueError(
                 "ideal sampling needs max_exponent >= 1 and n >= 1; got "
                 f"max_exponent {cfg.max_exponent}, n range {cfg.n_range}"
+            )
+        # a draw over the exponent cap would fail validation and be retried
+        # as an infeasible draw until the retry budget runs out
+        if cfg.max_exponent > MAX_EXPONENT:
+            raise ValueError(
+                f"ideal sampling needs max_exponent <= {MAX_EXPONENT} (the exponent "
+                f"cap); got max_exponent {cfg.max_exponent}"
             )
         _check_sample_count(cfg)
         rng = SplitMix64(cfg.seed)

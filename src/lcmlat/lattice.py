@@ -6,15 +6,19 @@ those tables. An LcmLattice additionally remembers its monomial elements
 and which indices are the ideal's generators (the atoms).
 
 build_lcm_lattice works on arrays throughout: the join-closure adds one
-generator per round to an (N, nvars) exponent array, elements are keyed
-by the bitmask of the generators dividing them, and leq/join/meet are
-filled from those keys in row blocks of about BLOCK_BYTES each.
+generator per round to an (N, nvars) exponent array, and elements are keyed
+by the bitmask of the generators dividing them. The leq/join/meet tables
+and the labels are filled from those keys, in row blocks of about
+BLOCK_BYTES each, on the first read of LcmLattice.lattice: a caller that
+reads only the elements, the atoms or the ideal (is_boolean) never pays
+for the N x N tables.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -138,12 +142,18 @@ class FiniteLattice:
 
 @dataclass(frozen=True, eq=False)
 class LcmLattice:
-    """The lcm-lattice of a monomial ideal, keeping the monomial behind each element."""
+    """The lcm-lattice of a monomial ideal, keeping the monomial behind each element.
+
+    `lattice` (the leq/join/meet tables and the labels) is filled from
+    `exponents` and `keys` on its first read and cached; later reads return
+    the same FiniteLattice.
+    """
 
     ideal: MonomialIdeal
     elements: tuple                 # monomials; index 0 is the unit (0-hat)
     atom_indices: tuple             # indices of the minimal generators
-    lattice: FiniteLattice
+    exponents: np.ndarray = field(repr=False)  # int64 (n, nvars), the elements
+    keys: np.ndarray = field(repr=False)       # uint64 (n,), divisor bitmask of each element
 
     @property
     def size(self) -> int:
@@ -152,6 +162,10 @@ class LcmLattice:
     @property
     def atom_count(self) -> int:
         return len(self.atom_indices)
+
+    @cached_property
+    def lattice(self) -> FiniteLattice:
+        return _fill_tables(self.ideal, self.exponents, self.keys)
 
 
 def _element_sort_key(m):
@@ -172,12 +186,28 @@ def _divisor_keys(exps: np.ndarray, gens: np.ndarray, bits: np.ndarray) -> np.nd
     return keys
 
 
+def _generator_bits(m: int) -> np.ndarray:
+    """bits[j] is the key bit of generator j."""
+    return np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
+
+
+def _key_lookup(keys: np.ndarray):
+    """Map an array of element keys to their indices in `keys` (all distinct)."""
+    rank = np.argsort(keys)
+    sorted_keys = keys[rank]
+
+    def index_of(k):
+        return rank[np.searchsorted(sorted_keys, k)]
+
+    return index_of
+
+
 def build_lcm_lattice(
     I: MonomialIdeal,
     max_generators: int = DEFAULT_MAX_GENERATORS,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> LcmLattice:
-    """Join-closure of the generators plus the unit, with all tables filled.
+    """Join-closure of the generators plus the unit, in canonical order.
 
     Elements come out as: unit first, then sorted by (total degree,
     lexicographic exponents), so indices are stable across runs.
@@ -189,17 +219,12 @@ def build_lcm_lattice(
     up to MAX_KEY_BITS generators whatever the ring dimension or exponent
     size. Rows are deduplicated by key after the last round and after any
     round that leaves them over BLOCK_BYTES; the element cap is checked at
-    each deduplication, before any table is allocated.
+    each deduplication, so a lattice over the cap is refused before any
+    N x N table exists.
 
-    On keys, a <= b is key(a) subset of key(b). meet(a, b) has key
-    key(a) & key(b), since the lcm of the generators dividing both is the
-    largest common lower bound. join(a, b) has the key of max(a, b):
-    generator g divides max(a, b) unless some variable is below g's
-    exponent in both a and b, a count taken by one 0/1 matmul per
-    generator. Keys are turned back into indices with searchsorted.
-    Besides the tables and the per-element arrays (exponents, keys, and
-    the 0/1 "exponent below g's" indicators), every temporary is built in
-    row blocks of about BLOCK_BYTES; nothing of size N^3 is formed.
+    The tables and labels are not built here: the returned LcmLattice fills
+    them on the first read of its `lattice` (see _fill_tables), after the
+    cap check has passed.
     """
     m = len(I.generators)
     if m > max_generators:
@@ -213,7 +238,7 @@ def build_lcm_lattice(
             f"{MAX_KEY_BITS}"
         )
     gens = np.array(I.generators, dtype=np.int64)
-    bits = np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
+    bits = _generator_bits(m)
     exps = np.zeros((1, I.ring_dimension), dtype=np.int64)
     for k, g in enumerate(gens, 1):
         exps = np.concatenate((exps, np.maximum(exps, g)))
@@ -225,17 +250,33 @@ def build_lcm_lattice(
                     f"lattice exceeds the element cap {max_elements}"
                 )
 
-    # keys are sorted; order puts exps in canonical (degree, lex) order and
-    # rank maps a sorted-key position to its canonical index
-    size = len(exps)
     order = np.lexsort((*exps.T[::-1], exps.sum(axis=1)))
-    rank = np.empty(size, dtype=np.int32)
-    rank[order] = np.arange(size, dtype=np.int32)
-    sorted_keys = keys
     exps, keys = exps[order], keys[order]
+    exps.setflags(write=False)
+    keys.setflags(write=False)
+    elements = tuple(map(tuple, exps.tolist()))
+    atom_indices = tuple(_key_lookup(keys)(bits).tolist())
+    return LcmLattice(I, elements, atom_indices, exps, keys)
 
-    def index_of(k):
-        return rank[np.searchsorted(sorted_keys, k)]
+
+def _fill_tables(I: MonomialIdeal, exps: np.ndarray, keys: np.ndarray) -> FiniteLattice:
+    """The leq/join/meet tables and labels of the elements `exps` keyed by `keys`.
+
+    On keys, a <= b is key(a) subset of key(b). meet(a, b) has key
+    key(a) & key(b), since the lcm of the generators dividing both is the
+    largest common lower bound. join(a, b) has the key of max(a, b):
+    generator g divides max(a, b) unless some variable is below g's
+    exponent in both a and b, a count taken by one 0/1 matmul per
+    generator. Keys are turned back into indices with searchsorted.
+    Besides the tables and the per-element arrays (exponents, keys, and
+    the 0/1 "exponent below g's" indicators), every temporary is built in
+    row blocks of about BLOCK_BYTES; nothing of size N^3 is formed.
+    """
+    m = len(I.generators)
+    gens = np.array(I.generators, dtype=np.int64)
+    bits = _generator_bits(m)
+    size = len(keys)
+    index_of = _key_lookup(keys)
 
     leq = np.empty((size, size), dtype=bool)
     meet = np.empty((size, size), dtype=np.int32)
@@ -252,11 +293,8 @@ def build_lcm_lattice(
         divides = np.matmul(short[:, blk], short_t) == 0
         join[blk] = index_of(divides.transpose(1, 2, 0) @ bits)
 
-    elements = tuple(map(tuple, exps.tolist()))
-    labels = tuple(monomial_str(e) for e in elements)
-    lat = FiniteLattice(leq, join, meet, labels)
-    atom_indices = tuple(int(i) for i in index_of(bits))
-    return LcmLattice(I, elements, atom_indices, lat)
+    labels = tuple(monomial_str(e) for e in exps.tolist())
+    return FiniteLattice(leq, join, meet, labels)
 
 
 def enumerate_subset_lcms(I: MonomialIdeal):

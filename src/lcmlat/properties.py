@@ -28,7 +28,7 @@ from .lattice import (
     interval,
     is_isomorphic,  # noqa: F401 -- unused; perfbench/tracer.py patches this name
 )
-from .monomials import lcm, monomial_str, unit
+from .monomials import monomial_str, unit
 
 # above this size the O(n^3) definitional sweeps are skipped and only the
 # forbidden-sublattice searches run
@@ -74,13 +74,14 @@ def _first_lcm_collision(gens, ring_dimension: int, m: int) -> dict | None:
     """First mask whose subset lcm an earlier mask already produced, or None.
 
     acc[mask] is acc[mask without its lowest bit] lcm that bit's generator,
-    so each subset costs one lcm.
+    so each subset costs one componentwise max; the generators share the
+    ring dimension, which MonomialIdeal checked once.
     """
     acc = [unit(ring_dimension)] * (1 << m)
     seen = {acc[0]: 0}
     for mask in range(1, 1 << m):
         low = mask & -mask
-        acc[mask] = lcm(acc[mask ^ low], gens[low.bit_length() - 1])
+        acc[mask] = tuple(map(max, acc[mask ^ low], gens[low.bit_length() - 1]))
         first = seen.setdefault(acc[mask], mask)
         if first != mask:
             return {

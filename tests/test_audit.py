@@ -3,6 +3,7 @@ import json
 import pytest
 
 from lcmlat.audit import (
+    _REDRAW_LIMIT,
     AuditReport,
     GeneratorConfig,
     SplitMix64,
@@ -65,6 +66,59 @@ class TestGenerators:
         cfg = GeneratorConfig(seed=2, n_range=(1, 1), m_range=(2, 2), max_exponent=3)
         with pytest.raises(ValueError):
             random_monomial_ideal(cfg)
+
+
+def _minimalize_per_round_ideal(cfg, rng):
+    """Oracle: the sampler that re-minimalizes every draw so far in each round."""
+    n = rng.in_range(*cfg.n_range)
+    m = rng.in_range(*cfg.m_range)
+
+    def draw():
+        while True:
+            mono = tuple(rng.in_range(0, cfg.max_exponent) for _ in range(n))
+            if any(mono):
+                return mono
+
+    gens = minimalize([draw() for _ in range(m)])
+    for _ in range(_REDRAW_LIMIT):
+        if len(gens) >= m:
+            break
+        gens = minimalize(gens + [draw() for _ in range(m - len(gens))])
+    else:
+        raise ValueError(
+            f"could not reach {m} minimal generators in {n} variables "
+            f"within the retry budget"
+        )
+    return MonomialIdeal(n, tuple(gens))
+
+
+def _outcome(sample, cfg, rng):
+    """(ideal, error message, rng state after the call)."""
+    try:
+        return sample(cfg, rng), None, rng.state
+    except ValueError as exc:
+        return None, str(exc), rng.state
+
+
+class TestSamplerOracle:
+    # the two seeded audit configs; n = 1 with m >= 2 has no antichain of
+    # size m, so those draws exhaust the redraw budget
+    @pytest.mark.parametrize("n_range", [(1, 4), (1, 5)])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_ideals_errors_and_state(self, seed, n_range):
+        cfg = GeneratorConfig(seed=seed, n_range=n_range, m_range=(1, 5), max_exponent=3)
+        new, old = SplitMix64(seed), SplitMix64(seed)
+        errors = 0
+        for _ in range(40):
+            got = _outcome(random_monomial_ideal, cfg, new)
+            assert got == _outcome(_minimalize_per_round_ideal, cfg, old)
+            errors += got[1] is not None
+        assert errors > 0
+
+    def test_draws_match_in_range(self):
+        a, b = SplitMix64(17), SplitMix64(17)
+        assert a.draws(3, 9, 50) == [b.in_range(3, 9) for _ in range(50)]
+        assert a.state == b.state
 
 
 class TestAuditInstance:

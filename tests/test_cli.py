@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import lcmlat
-from lcmlat import properties
+from lcmlat import cli, properties
 from lcmlat.cli import run_cli
 
 FIG3_IDEAL = "ring 6\nx1*x2*x3\nx2*x3*x4\nx4*x5*x6\n"
@@ -122,6 +123,29 @@ class TestCheck:
         _, out1, _ = run(capsys, "check", "--ideal", fig3_ideal_file)
         _, out2, _ = run(capsys, "check", "--ideal", fig3_ideal_file)
         assert out1 == out2
+
+    def test_boolean_near_cap_fills_no_table(self, capsys, monkeypatch, tmp_path):
+        # the 12-edge matching has 4096 elements; its leq table alone would
+        # take 4096^2 bytes = 16 MB
+        p = tmp_path / "matching.json"
+        p.write_text(json.dumps({"n": 24, "edges": [[2 * i + 1, 2 * i + 2] for i in range(12)]}))
+        built = []
+
+        def recording(I, *args, **kwargs):
+            built.append(lcmlat.build_lcm_lattice(I, *args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_lcm_lattice", recording)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "check", "--hypergraph", str(p), "--property", "boolean")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"property": "boolean", "holds": True, "witness": None}
+        assert built[0].size == 4096 and "lattice" not in vars(built[0])
+        assert peak < 4096**2 // 2
 
     def test_relatively_complemented_near_cap(self, tmp_path):
         # the 12-edge matching is Boolean with 4096 elements, close to the
@@ -264,6 +288,14 @@ class TestAudit:
         done = run_subprocess("audit", "--theorem", "boolean", "--n", "2..3", "--count", "0")
         assert (done.returncode, done.stderr) == (0, "")
         assert json.loads(done.stdout.splitlines()[-1])["summary"]["total"] == 9
+
+    @pytest.mark.parametrize("theorem", ["birkhoff-crosscheck", "polarization-iso"])
+    @pytest.mark.parametrize("exponent", ["65537", "70000", "100000000"])
+    def test_max_exponent_over_cap_exits_2(self, theorem, exponent):
+        # an over-cap draw fails validation; the sampler used to drop such
+        # draws as infeasible, silently or until its retry budget ran out
+        done = run_subprocess("audit", "--theorem", theorem, "--max-exponent", exponent)
+        assert_one_error_line(done, f"max_exponent <= 65536 (the exponent cap); got max_exponent {exponent}")
 
     def test_sampler_budget_names_infeasible_draw(self):
         # no 3-generator antichain fits in one variable

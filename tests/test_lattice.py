@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcmlat import lattice
+from lcmlat.audit import GeneratorConfig, SplitMix64, random_monomial_ideal
 from lcmlat.lattice import (
     FiniteLattice,
     SizeLimitError,
@@ -319,6 +320,9 @@ class TestClosureOracle:
     @staticmethod
     def check(I):
         L = build_lcm_lattice(I)
+        # the tables and labels are filled on the first read of .lattice
+        assert "lattice" not in vars(L)
+        assert L.lattice is L.lattice
         expected = enumerate_subset_lcms(I)
         assert list(L.elements) == expected
         exps = np.array(expected, dtype=np.int64)
@@ -334,6 +338,21 @@ class TestClosureOracle:
     @given(st.one_of(ideal_strategy(4, 8, 3), antichain_ideal_strategy()))
     def test_join_closure_equals_subset_enumeration(self, I):
         self.check(I)
+
+    @pytest.mark.parametrize("name", ["fig3_lattice", "tetra_lattice", "fig5_lattice", "p4_lattice"])
+    def test_fixture_ideals(self, name, request):
+        self.check(request.getfixturevalue(name).ideal)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_random_ideals(self, seed):
+        cfg = GeneratorConfig(n_range=(1, 5), m_range=(1, 7), max_exponent=3)
+        rng = SplitMix64(seed)
+        for _ in range(12):
+            try:
+                I = random_monomial_ideal(cfg, rng)
+            except ValueError:  # no antichain of m monomials in n variables
+                continue
+            self.check(I)
 
     def test_element_count_bound(self, fig3_lattice):
         assert fig3_lattice.size <= 1 << fig3_lattice.atom_count

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmlat import properties
+from lcmlat import audit, properties
 from lcmlat.lattice import (
     boolean_lattice,
     build_lcm_lattice,
@@ -93,6 +93,28 @@ class TestBoolean:
         assert L.size == 1024
         verdict = is_boolean(L)
         assert verdict.holds and verdict.witness is None
+        assert "lattice" not in vars(L)
+
+    def test_fig3_reads_no_table(self, fig3_hypergraph):
+        L = build_lcm_lattice(edge_ideal(fig3_hypergraph))
+        assert not is_boolean(L).holds
+        assert "lattice" not in vars(L)
+
+    @pytest.mark.parametrize("edges", [
+        [{1, 2, 3}, {2, 3, 4}, {4, 5, 6}],  # not Boolean
+        [{1, 2}, {3, 4}, {5, 6}],           # Boolean
+    ])
+    def test_boolean_audit_reads_no_table(self, edges, monkeypatch):
+        built = []
+
+        def recording(I, *args, **kwargs):
+            built.append(build_lcm_lattice(I, *args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(audit, "build_lcm_lattice", recording)
+        report = audit.audit_instance("boolean", Hypergraph.make(6, edges))
+        assert report.agree
+        assert len(built) == 1 and "lattice" not in vars(built[0])
 
 
 def _first_collision_from_scratch(L):
