@@ -26,12 +26,14 @@ import numpy as np
 from .monomials import MonomialIdeal, monomial_str, total_degree, unit
 
 DEFAULT_MAX_GENERATORS = 16
-# `check --property all` peaks at about 24 bytes per cell of the N x N tables
-# (measured with tracemalloc at N = 448..2048, modular or not): the bool leq
-# and int32 join/meet (1 + 4 + 4) plus the searches' int32 cancellation keys,
-# the int64 argsort of their rows and two bool masks (4 + 8 + 2). N = 6000
-# keeps that peak at 24.4 * 6000^2 = 0.88e9 bytes, under 1 GB; a 12-edge
-# matching (4096 elements) still builds.
+# `check --property all` peaks at about 20 bytes per cell of the N x N tables
+# (measured with tracemalloc at N = 448..2560, modular or not): the bool leq
+# and int32 join/meet (1 + 4 + 4) plus either the searches' int32
+# cancellation keys, their sorted copy and a bool mask (4 + 4 + 1) or the
+# strict order, its float32 copy and the float32 between-counts (1 + 4 + 4).
+# N = 6000 keeps that peak at 20 * 6000^2 = 0.72e9 bytes, under 1 GB; a
+# 12-edge matching (4096 elements) still builds. The cap dates from a peak
+# of 24 bytes per cell and is kept, so the inputs it refuses stay the same.
 DEFAULT_MAX_ELEMENTS = 6000
 # product() peaks at about 21 bytes per cell of its N x N tables, N = |L1|*|L2|:
 # the bool leq (1) and int32 join (4) it keeps while building meet, whose int64

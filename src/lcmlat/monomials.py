@@ -11,6 +11,7 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import combinations
+from operator import le
 
 Monomial = tuple  # tuple[int, ...], exponent vector
 
@@ -135,8 +136,10 @@ class MonomialIdeal:
             validate_monomial(g, self.ring_dimension)
             if g == unit(self.ring_dimension):
                 raise ValueError("the unit is not a valid generator")
+        # every generator has ring_dimension exponents (checked above), so
+        # divisibility is a plain componentwise <= without divides()'s check
         for g, h in combinations(self.generators, 2):
-            if divides(g, h) or divides(h, g):
+            if all(map(le, g, h)) or all(map(le, h, g)):
                 raise ValueError(
                     f"generating set not minimal: {monomial_str(g)} vs {monomial_str(h)}"
                 )

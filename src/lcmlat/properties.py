@@ -1,10 +1,18 @@
 """Lattice property deciders: Boolean, modular, distributive, complemented.
 
 Every negative verdict carries a witness that re-validates against the raw
-join/meet tables. Deciders that have two independent routes (element count
-vs a scan of the generator subsets for repeated lcms for Boolean, law sweep
-vs forbidden-sublattice search for modular/distributive) run both, the
-sweeps only on small lattices, and refuse to answer if the routes disagree.
+join/meet tables. Deciders that have two independent routes run both and
+refuse to answer if the routes disagree:
+
+- Boolean: the element count vs a scan of the generator subsets for a
+  repeated lcm, at every size.
+- Modular: the pentagon search vs the height valuation test (O(n^2)), at
+  every size. When the search finds a pentagon at or below SWEEP_LIMIT, the
+  modular law sweep runs instead of the valuation test, to give its first
+  failing triple as the witness; above it the pentagon is the witness.
+- Distributive: the pentagon and diamond searches vs the join-irreducible
+  valuation test (O(n^2)), at every size.
+
 Relative complementation is decided by Björner's theorem (A. Björner, "On
 complements in lattices of finite length", Discrete Math. 36, 1981): a
 lattice of finite length is relatively complemented iff it has no 3-element
@@ -30,8 +38,8 @@ from .lattice import (
 )
 from .monomials import monomial_str, unit
 
-# above this size the O(n^3) definitional sweeps are skipped and only the
-# forbidden-sublattice searches run
+# at or below this size a non-modular lattice's witness is the first failing
+# triple of the O(n^3) modular law sweep; above it, the pentagon found
 SWEEP_LIMIT = 400
 
 
@@ -95,19 +103,19 @@ def _first_lcm_collision(gens, ring_dimension: int, m: int) -> dict | None:
 def is_modular(L: FiniteLattice) -> PropertyVerdict:
     """Modular law x v (y ^ z) = (x v y) ^ z for all x <= z.
 
-    Small lattices get the definitional sweep (ground truth) cross-checked
-    against the pentagon search; large ones get the search only.
+    The pentagon search is cross-checked against the height valuation test.
+    On a pentagon at or below SWEEP_LIMIT, the law sweep takes the
+    valuation test's place: it must fail too, and its first failing triple
+    is the witness.
     """
     join, meet, leq = L.join_table, L.meet_table, L.leq
     pentagon = kernels.pentagon_search(join, meet, leq)
-    if L.size <= SWEEP_LIMIT:
+    if pentagon is not None and L.size <= SWEEP_LIMIT:
         triple = kernels.modular_violation(join, meet, leq)
-        if (triple is None) != (pentagon is None):
-            raise RuntimeError(
-                f"modular sweep and pentagon search disagree: {triple} vs {pentagon}"
-            )
         if triple is None:
-            return PropertyVerdict("modular", True)
+            raise RuntimeError(
+                f"modular routes disagree: the sweep holds, the search found {pentagon}"
+            )
         x, y, z = triple
         lhs = L.join(x, L.meet(y, z))
         rhs = L.meet(L.join(x, y), z)
@@ -121,6 +129,12 @@ def is_modular(L: FiniteLattice) -> PropertyVerdict:
                 "lhs": _labeled(L, lhs),
                 "rhs": _labeled(L, rhs),
             },
+        )
+    by_valuation = kernels.modular_by_valuation(join, meet, leq)
+    if by_valuation != (pentagon is None):
+        raise RuntimeError(
+            f"modular routes disagree: the valuation test says {by_valuation}, "
+            f"the search found {pentagon}"
         )
     if pentagon is None:
         return PropertyVerdict("modular", True)
@@ -160,18 +174,17 @@ def find_m3(L: FiniteLattice):
 def is_distributive(L: FiniteLattice) -> PropertyVerdict:
     """Distributive iff no pentagon and no diamond sublattice.
 
-    Cross-checked against the distributive law x ^ (y v z) = (x^y) v (x^z)
-    over all triples on small lattices.
+    Cross-checked against the join-irreducible valuation test at every size.
     """
     pentagon = find_n5(L)
     diamond = find_m3(L)
     by_search = pentagon is None and diamond is None
-    if L.size <= SWEEP_LIMIT:
-        triple = kernels.distributive_violation(L.join_table, L.meet_table)
-        if by_search != (triple is None):
-            raise RuntimeError(
-                "distributive law sweep and forbidden-sublattice search disagree"
-            )
+    by_valuation = kernels.distributive_by_valuation(L.join_table, L.meet_table, L.leq)
+    if by_search != by_valuation:
+        raise RuntimeError(
+            f"distributive routes disagree: the valuation test says {by_valuation}, "
+            f"the searches say {by_search}"
+        )
     if by_search:
         return PropertyVerdict("distributive", True)
     witness = {}

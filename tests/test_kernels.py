@@ -161,10 +161,12 @@ def _sample_lattices():
 
 def _assert_parity(lattice):
     tables = (lattice.join_table, lattice.meet_table, lattice.leq)
-    assert kernels.modular_violation(*tables) == _modular_violation_loops(*tables)
-    assert kernels.distributive_violation(*tables[:2]) == _distributive_violation_loops(
-        *tables[:2]
-    )
+    modular = _modular_violation_loops(*tables)
+    distributive = _distributive_violation_loops(*tables[:2])
+    assert kernels.modular_violation(*tables) == modular
+    assert kernels.distributive_violation(*tables[:2]) == distributive
+    assert kernels.modular_by_valuation(*tables) == (modular is None)
+    assert kernels.distributive_by_valuation(*tables) == (distributive is None)
     assert kernels.pentagon_search(*tables) == _pentagon_search_loops(*tables)
     assert kernels.diamond_search(*tables) == _diamond_search_loops(*tables)
 
@@ -176,6 +178,16 @@ _SAMPLES = list(_sample_lattices())
 def test_backend_parity(lattice):
     """Each numpy kernel returns the same witness as its triple-loop oracle."""
     _assert_parity(lattice)
+
+
+@pytest.mark.parametrize("lattice", [L for _, L in _SAMPLES], ids=[i for i, _ in _SAMPLES])
+def test_search_parity_in_small_pair_chunks(lattice, monkeypatch):
+    """The searches split a row group's fiber pairs into chunks; with chunks
+    of 5 pairs, most groups span several, and the witness is unchanged."""
+    monkeypatch.setattr(kernels, "_PAIRS_PER_CHUNK", 5)
+    tables = (lattice.join_table, lattice.meet_table, lattice.leq)
+    assert kernels.pentagon_search(*tables) == _pentagon_search_loops(*tables)
+    assert kernels.diamond_search(*tables) == _diamond_search_loops(*tables)
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,11 +210,26 @@ def test_known_witnesses():
     assert kernels.pentagon_search(*tables) is None
 
 
+@pytest.mark.parametrize("lattice,modular,distributive", [
+    (pentagon_lattice(), False, False),
+    (diamond_lattice(), True, False),
+    *[(chain_lattice(k), True, True) for k in range(1, 6)],
+    *[(boolean_lattice(r), True, True) for r in range(5)],
+    (product(diamond_lattice(), chain_lattice(3)), True, False),
+], ids=["N5", "M3", *[f"chain{k}" for k in range(1, 6)], *[f"boolean{r}" for r in range(5)],
+        "M3xchain3"])
+def test_valuation_verdicts(lattice, modular, distributive):
+    tables = (lattice.join_table, lattice.meet_table, lattice.leq)
+    assert kernels.modular_by_valuation(*tables) is modular
+    assert kernels.distributive_by_valuation(*tables) is distributive
+
+
 @pytest.mark.parametrize("small,search,oracle", [
     (pentagon_lattice(), kernels.pentagon_search, _pentagon_search_loops),
     (pentagon_lattice(), kernels.diamond_search, _diamond_search_loops),
+    (diamond_lattice(), kernels.pentagon_search, _pentagon_search_loops),
     (diamond_lattice(), kernels.diamond_search, _diamond_search_loops),
-], ids=["N5-pentagon", "N5-diamond", "M3-diamond"])
+], ids=["N5-pentagon", "N5-diamond", "M3-pentagon", "M3-diamond"])
 def test_least_witness_on_large_products(small, search, oracle):
     """2560 elements, past SWEEP_LIMIT, where the deciders rely on the
     searches alone and no loop oracle is affordable. In small x B9, a
@@ -210,9 +237,8 @@ def test_least_witness_on_large_products(small, search, oracle):
     is constant on it (M3 is simple, and every congruence of N5 but the
     identity joins x and y), so it maps onto small one-to-one. The least
     witness is small's own, with B9's bottom 0 in every coordinate: element
-    (i, j) sits at i * 512 + j. pentagon_search on the modular M3 x B9 is
-    left out: with no pentagon to cut it off, it scans all 1536 rows with
-    repeated keys (about 11 s)."""
+    (i, j) sits at i * 512 + j. On the modular M3 x B9 no pentagon cuts
+    pentagon_search short: it scans all 1536 rows with repeated keys."""
     L = product(small, boolean_lattice(9))
     expected = oracle(small.join_table, small.meet_table, small.leq)
     assert search(L.join_table, L.meet_table, L.leq) == (

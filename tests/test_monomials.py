@@ -172,6 +172,12 @@ class TestIdealInvariants:
         with pytest.raises(ValueError):
             MonomialIdeal(2, ((1, 0), (1, 1)))
 
+    def test_non_minimal_names_first_pair(self):
+        # two offending pairs, (x1*x2, x1) and (x3, x3*x4): the first in
+        # generator-pair order is named, in generator order
+        with pytest.raises(ValueError, match=r"^generating set not minimal: x1\*x2 vs x1$"):
+            MonomialIdeal(4, ((1, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 1, 1)))
+
     def test_unit_generator_rejected(self):
         with pytest.raises(ValueError):
             MonomialIdeal(2, ((0, 0),))

@@ -1,10 +1,11 @@
+import operator
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmlat import audit, properties
+from lcmlat import audit, kernels, properties
 from lcmlat.lattice import (
     boolean_lattice,
     build_lcm_lattice,
@@ -136,6 +137,19 @@ def _first_collision_from_scratch(L):
     return None
 
 
+def _counting(monkeypatch, name):
+    """Wrap kernels.<name> to record the size of each lattice it is called on."""
+    calls = []
+    original = getattr(kernels, name)
+
+    def counting(*tables):
+        calls.append(tables[0].shape[0])
+        return original(*tables)
+
+    monkeypatch.setattr(kernels, name, counting)
+    return calls
+
+
 class TestModular:
     def test_fig3_witness_matches_worked_example(self, fig3_lattice):
         verdict = is_modular(fig3_lattice.lattice)
@@ -158,6 +172,36 @@ class TestModular:
 
     def test_m3_modular(self):
         assert is_modular(diamond_lattice()).holds
+
+    def test_modular_below_sweep_limit_runs_no_sweep(self, monkeypatch):
+        sweeps = _counting(monkeypatch, "modular_violation")
+        valuations = _counting(monkeypatch, "modular_by_valuation")
+        L = product(diamond_lattice(), boolean_lattice(6))
+        assert L.size <= properties.SWEEP_LIMIT
+        assert is_modular(L).holds
+        assert sweeps == [] and valuations == [L.size]
+
+    @pytest.mark.parametrize("name", ["P4", "N5"])
+    def test_witness_is_the_sweeps_triple(self, name, p4_lattice, monkeypatch):
+        L = p4_lattice.lattice if name == "P4" else pentagon_lattice()
+        x, y, z = kernels.modular_violation(L.join_table, L.meet_table, L.leq)
+        sweeps = _counting(monkeypatch, "modular_violation")
+        valuations = _counting(monkeypatch, "modular_by_valuation")
+        verdict = is_modular(L)
+        assert not verdict.holds
+        assert [verdict.witness[k]["index"] for k in "xyz"] == [x, y, z]
+        assert sweeps == [L.size] and valuations == []
+
+    @pytest.mark.parametrize("lattice,kernel,flip", [
+        (diamond_lattice(), "modular_by_valuation", operator.not_),
+        (product(pentagon_lattice(), boolean_lattice(7)), "modular_by_valuation", operator.not_),
+        (pentagon_lattice(), "modular_violation", lambda triple: None),
+    ], ids=["M3-valuation", "N5xB7-valuation", "N5-sweep"])
+    def test_routes_disagree_raises(self, lattice, kernel, flip, monkeypatch):
+        original = getattr(kernels, kernel)
+        monkeypatch.setattr(kernels, kernel, lambda *tables: flip(original(*tables)))
+        with pytest.raises(RuntimeError, match="modular routes disagree"):
+            is_modular(lattice)
 
 
 class TestForbiddenSublattices:
@@ -201,6 +245,20 @@ class TestForbiddenSublattices:
 class TestDistributive:
     def test_boolean3(self):
         assert is_distributive(boolean_lattice(3)).holds
+
+    def test_boolean6_runs_no_sweep(self, monkeypatch):
+        sweeps = _counting(monkeypatch, "distributive_violation")
+        assert is_distributive(boolean_lattice(6)).holds
+        assert sweeps == []
+
+    @pytest.mark.parametrize("lattice", [boolean_lattice(3), pentagon_lattice(), diamond_lattice()],
+                             ids=["B3", "N5", "M3"])
+    def test_routes_disagree_raises(self, lattice, monkeypatch):
+        original = kernels.distributive_by_valuation
+        monkeypatch.setattr(kernels, "distributive_by_valuation",
+                            lambda *tables: not original(*tables))
+        with pytest.raises(RuntimeError, match="distributive routes disagree"):
+            is_distributive(lattice)
 
     def test_tetra_fails_via_diamond(self, tetra_lattice):
         verdict = is_distributive(tetra_lattice.lattice)
