@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import audit as audit_mod
@@ -62,11 +63,12 @@ def _parse_range(text: str) -> tuple:
     return lo, hi
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lcmlat", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_input_flags(p, two_ideals=False):
+    def add_input_flags(p, two_ideals=False, caps=True):
         if two_ideals:
             p.add_argument("--ideal", action="append", required=True,
                            help="ideal file (give twice)")
@@ -74,8 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--ideal", help="ideal file")
             p.add_argument("--hypergraph", help="hypergraph JSON file")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--max-generators", type=int, default=DEFAULT_MAX_GENERATORS)
-        p.add_argument("--max-lattice", type=int, default=DEFAULT_MAX_ELEMENTS)
+        if caps:  # only the subcommands that build a lattice
+            p.add_argument("--max-generators", type=int, default=DEFAULT_MAX_GENERATORS)
+            p.add_argument("--max-lattice", type=int, default=DEFAULT_MAX_ELEMENTS)
 
     p = sub.add_parser("build", help="construct an lcm-lattice")
     add_input_flags(p)
@@ -89,10 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="exit 1 if any checked property is false")
 
     p = sub.add_parser("conditions", help="structural predicates on a hypergraph")
-    add_input_flags(p)
+    add_input_flags(p, caps=False)
 
     p = sub.add_parser("polarize", help="polarize a monomial ideal")
-    add_input_flags(p)
+    add_input_flags(p, caps=False)
 
     p = sub.add_parser("product", help="product of two lcm-lattices")
     add_input_flags(p, two_ideals=True)

@@ -8,10 +8,12 @@ and which indices are the ideal's generators (the atoms).
 build_lcm_lattice works on arrays throughout: the join-closure adds one
 generator per round to an (N, nvars) exponent array, and elements are keyed
 by the bitmask of the generators dividing them. The leq/join/meet tables
-and the labels are filled from those keys, in row blocks of about
-BLOCK_BYTES each, on the first read of LcmLattice.lattice: a caller that
-reads only the elements, the atoms or the ideal (is_boolean) never pays
-for the N x N tables.
+and the labels are filled from those keys on the first read of
+LcmLattice.lattice: a caller that reads only the elements, the atoms or the
+ideal (is_boolean) never pays for the N x N tables. Every element is the
+lcm of a subset of the generators, so one table over the 2^m generator
+subsets (the least element whose key contains each subset) turns join and
+meet into gathers, in row blocks of about BLOCK_BYTES each.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ DEFAULT_MAX_ELEMENTS = 6000
 # outer sum and its transposed int64 copy (8 + 8) are alive at once. N = 80^2
 # keeps that peak at 21 * 6400^2 = 0.86e9 bytes, under 1 GB.
 DEFAULT_MAX_PRODUCT = 6400
-# the divisor-bitmask key of build_lcm_lattice is one uint64
-MAX_KEY_BITS = 64
+# _fill_tables indexes an int32 table by the divisor-bitmask key, 2^m
+# entries for m generators: m = 24 keeps it at 4 * 2^24 bytes = 64 MiB
+MAX_KEY_BITS = 24
 # rough bound on the bytes of each blocked temporary in build_lcm_lattice
 BLOCK_BYTES = 1 << 20
 
@@ -135,10 +138,12 @@ class FiniteLattice:
         return cls.from_leq(leq, labels)
 
     def to_json_dict(self) -> dict:
+        covers = hasse_edges(self)
+        bot = self.bottom
         return {
             "elements": list(self.labels),
-            "atoms": atoms_of(self),
-            "covers": [list(e) for e in hasse_edges(self)],
+            "atoms": [b for a, b in covers if a == bot],
+            "covers": [list(e) for e in covers],
         }
 
 
@@ -167,7 +172,7 @@ class LcmLattice:
 
     @cached_property
     def lattice(self) -> FiniteLattice:
-        return _fill_tables(self.ideal, self.exponents, self.keys)
+        return _fill_tables(self.exponents, self.keys, self.atom_count)
 
 
 def _element_sort_key(m):
@@ -188,22 +193,6 @@ def _divisor_keys(exps: np.ndarray, gens: np.ndarray, bits: np.ndarray) -> np.nd
     return keys
 
 
-def _generator_bits(m: int) -> np.ndarray:
-    """bits[j] is the key bit of generator j."""
-    return np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
-
-
-def _key_lookup(keys: np.ndarray):
-    """Map an array of element keys to their indices in `keys` (all distinct)."""
-    rank = np.argsort(keys)
-    sorted_keys = keys[rank]
-
-    def index_of(k):
-        return rank[np.searchsorted(sorted_keys, k)]
-
-    return index_of
-
-
 def build_lcm_lattice(
     I: MonomialIdeal,
     max_generators: int = DEFAULT_MAX_GENERATORS,
@@ -217,12 +206,13 @@ def build_lcm_lattice(
     The closure runs on an (N, nvars) int64 exponent array, one generator
     per round: S_k = S_{k-1} | max(S_{k-1}, g_k), starting from {unit}.
     Each element is keyed by the bitmask of the generators dividing it; the
-    key is injective because e = lcm{g : g | e}, and it fits a uint64 for
-    up to MAX_KEY_BITS generators whatever the ring dimension or exponent
-    size. Rows are deduplicated by key after the last round and after any
-    round that leaves them over BLOCK_BYTES; the element cap is checked at
-    each deduplication, so a lattice over the cap is refused before any
-    N x N table exists.
+    key is injective because e = lcm{g : g | e}, whatever the ring
+    dimension or exponent size. An ideal of more than MAX_KEY_BITS
+    generators is refused before anything is allocated. Rows are
+    deduplicated by key after the last round and after any round that
+    leaves them over BLOCK_BYTES; the element cap is checked at each
+    deduplication, so a lattice over the cap is refused before any N x N
+    table exists.
 
     The tables and labels are not built here: the returned LcmLattice fills
     them on the first read of its `lattice` (see _fill_tables), after the
@@ -236,11 +226,12 @@ def build_lcm_lattice(
         )
     if m > MAX_KEY_BITS:
         raise SizeLimitError(
-            f"ideal has {m} generators; the divisor-bitmask key holds at most "
-            f"{MAX_KEY_BITS}"
+            f"ideal has {m} generators; the subset table of the lattice fill "
+            f"holds at most {MAX_KEY_BITS}"
         )
     gens = np.array(I.generators, dtype=np.int64)
-    bits = _generator_bits(m)
+    # bits[j] is the key bit of generator j
+    bits = np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
     exps = np.zeros((1, I.ring_dimension), dtype=np.int64)
     for k, g in enumerate(gens, 1):
         exps = np.concatenate((exps, np.maximum(exps, g)))
@@ -257,43 +248,42 @@ def build_lcm_lattice(
     exps.setflags(write=False)
     keys.setflags(write=False)
     elements = tuple(map(tuple, exps.tolist()))
-    atom_indices = tuple(_key_lookup(keys)(bits).tolist())
+    # a minimal generator's key is its own bit
+    atom_indices = tuple(np.nonzero(keys == bits[:, None])[1].tolist())
     return LcmLattice(I, elements, atom_indices, exps, keys)
 
 
-def _fill_tables(I: MonomialIdeal, exps: np.ndarray, keys: np.ndarray) -> FiniteLattice:
+def _fill_tables(exps: np.ndarray, keys: np.ndarray, m: int) -> FiniteLattice:
     """The leq/join/meet tables and labels of the elements `exps` keyed by `keys`.
 
-    On keys, a <= b is key(a) subset of key(b). meet(a, b) has key
-    key(a) & key(b), since the lcm of the generators dividing both is the
-    largest common lower bound. join(a, b) has the key of max(a, b):
-    generator g divides max(a, b) unless some variable is below g's
-    exponent in both a and b, a count taken by one 0/1 matmul per
-    generator. Keys are turned back into indices with searchsorted.
-    Besides the tables and the per-element arrays (exponents, keys, and
-    the 0/1 "exponent below g's" indicators), every temporary is built in
-    row blocks of about BLOCK_BYTES; nothing of size N^3 is formed.
+    least[s] is the first element, in index order, whose key contains the
+    m-bit mask s: every entry starts at N, each element is scattered to its
+    own key, and m passes take the minimum over supersets, one bit each.
+
+    On keys, a <= b is key(a) subset of key(b). join(a, b) is the lcm of
+    the generators in key(a) | key(b), and meet(a, b) the lcm of those in
+    key(a) & key(b). The lcm of the generators in a mask s is an element,
+    its key contains s, and it divides every element whose key contains s.
+    So it is least[s] provided the index order extends divisibility;
+    build_lcm_lattice sorts by total degree first, which does. The tables
+    are gathers from least, in row blocks of about BLOCK_BYTES.
     """
-    m = len(I.generators)
-    gens = np.array(I.generators, dtype=np.int64)
-    bits = _generator_bits(m)
     size = len(keys)
-    index_of = _key_lookup(keys)
+    keys = keys.astype(np.intp)
+    least = np.full(1 << m, size, dtype=np.int32)
+    least[keys] = np.arange(size, dtype=np.int32)
+    for j in range(m):
+        pairs = least.reshape(-1, 2, 1 << j)
+        np.minimum(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
 
     leq = np.empty((size, size), dtype=bool)
-    meet = np.empty((size, size), dtype=np.int32)
-    for blk in _row_blocks(size, 24 * size):
-        leq[blk] = (keys[blk, None] & ~keys[None, :]) == 0
-        meet[blk] = index_of(keys[blk, None] & keys[None, :])
-
-    # short[j, e, i]: element e's exponent of x_i is below generator j's
-    active = gens.any(axis=0)
-    short = (exps[None, :, active] < gens[:, None, active]).astype(np.float32)
-    short_t = short.transpose(0, 2, 1)
     join = np.empty((size, size), dtype=np.int32)
-    for blk in _row_blocks(size, (13 * m + 16) * size):
-        divides = np.matmul(short[:, blk], short_t) == 0
-        join[blk] = index_of(divides.transpose(1, 2, 0) @ bits)
+    meet = np.empty((size, size), dtype=np.int32)
+    for blk in _row_blocks(size, 16 * size):
+        ka, kb = keys[blk, None], keys[None, :]
+        leq[blk] = (ka & ~kb) == 0
+        join[blk] = least[ka | kb]
+        meet[blk] = least[ka & kb]
 
     labels = tuple(monomial_str(e) for e in exps.tolist())
     return FiniteLattice(leq, join, meet, labels)

@@ -175,6 +175,11 @@ class TestConditions:
         names = [json.loads(l)["condition"] for l in out.splitlines()]
         assert "degree1-path" in names and "induced-p4" in names
 
+    def test_no_cap_flags(self, capsys, tetra_file):
+        # conditions builds no lattice, so it takes no lattice caps
+        code, _, _ = run(capsys, "conditions", "--hypergraph", tetra_file, "--max-lattice", "5")
+        assert code == 2
+
 
 class TestPolarize:
     def test_worked_example(self, capsys, tmp_path):
@@ -186,6 +191,12 @@ class TestPolarize:
         assert obj["polarized"]["ring"] == 5
         assert obj["polarized"]["generators"] == ["x1*x2*x3", "x3*x4*x5"]
         assert obj["variable_names"] == ["x1_1", "x1_2", "x2_1", "x2_2", "x2_3"]
+
+    def test_no_cap_flags(self, capsys, tmp_path):
+        p = tmp_path / "ideal.txt"
+        p.write_text(POLARIZE_IDEAL)
+        code, _, _ = run(capsys, "polarize", "--ideal", str(p), "--max-lattice", "5")
+        assert code == 2
 
 
 class TestProductIso:
@@ -207,6 +218,20 @@ class TestProductIso:
         obj = json.loads(out)
         assert len(obj["elements"]) == 4
         assert obj["complemented"] is True
+
+    @pytest.mark.parametrize("subcommand", ["iso", "product"])
+    def test_repeated_in_process_runs(self, capsys, tmp_path, subcommand):
+        # the parser is built once per process; reusing it leaks nothing
+        a = tmp_path / "a.ideal"
+        a.write_text(POLARIZE_IDEAL)
+        b = tmp_path / "b.ideal"
+        b.write_text("ring 5\nx1*x2*x3\nx3*x4*x5\n")
+        argv = (subcommand, "--ideal", str(a), "--ideal", str(b))
+        first = run(capsys, *argv)
+        assert first[0] == 0
+        assert run(capsys, *argv) == first
+        assert run(capsys, subcommand, "--ideal", str(a))[0] == 2
+        assert run(capsys, *argv) == first
 
     def test_product_refused_past_cap(self, capsys, tmp_path):
         # a 7-edge and a 6-edge matching: 128 * 64 elements, past the product cap

@@ -383,10 +383,45 @@ class TestClosureOracle:
             build_lcm_lattice(I, max_elements=size - 1)
 
     def test_key_width_cap(self):
-        n = 65
+        n = 25
         I = MonomialIdeal.make(n, [tuple(int(i == j) for i in range(n)) for j in range(n)])
-        with pytest.raises(SizeLimitError, match="at most 64"):
+        with pytest.raises(SizeLimitError, match="at most 24"):
             build_lcm_lattice(I, max_generators=n)
+
+    def test_key_width_cap_builds(self):
+        # the widest subset table the fill takes: 2^24 entries
+        g = lattice.MAX_KEY_BITS
+        L = build_lcm_lattice(MonomialIdeal.make(2, _staircase(g)), max_generators=g)
+        assert L.size == 1 + g * (g + 1) // 2
+        exps = np.array(L.elements, dtype=np.int64)
+        divides = (exps[:, None, :] <= exps[None, :, :]).all(axis=2)
+        ref = FiniteLattice.from_leq(divides)
+        assert np.array_equal(L.lattice.leq, divides)
+        assert np.array_equal(L.lattice.join_table, ref.join_table)
+        assert np.array_equal(L.lattice.meet_table, ref.meet_table)
+
+    def test_past_key_width_refused_before_allocating(self):
+        g = lattice.MAX_KEY_BITS + 1
+        I = MonomialIdeal.make(2, _staircase(g))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match=f"at most {g - 1}$"):
+                build_lcm_lattice(I, max_generators=g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+    def test_boolean_join_and_meet_are_union_and_intersection(self):
+        # a 12-edge matching: every generator subset is an element key
+        L = build_lcm_lattice(_disjoint_ideal([[(1, 1)]] * 12))
+        assert L.size == 1 << 12
+        keys = L.keys.astype(np.int64)
+        assert np.array_equal(np.sort(keys), np.arange(1 << 12))
+        for blk in lattice._row_blocks(L.size, 64 * L.size):
+            ka, kb = keys[blk, None], keys[None, :]
+            assert np.array_equal(keys[L.lattice.join_table[blk]], ka | kb)
+            assert np.array_equal(keys[L.lattice.meet_table[blk]], ka & kb)
 
 
 def _disjoint_ideal(blocks):
