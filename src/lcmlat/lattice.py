@@ -5,15 +5,16 @@ as numpy arrays; everything downstream (property checks, audits) works off
 those tables. An LcmLattice additionally remembers its monomial elements
 and which indices are the ideal's generators (the atoms).
 
-build_lcm_lattice works on arrays throughout: the join-closure adds one
-generator per round to an (N, nvars) exponent array, and elements are keyed
-by the bitmask of the generators dividing them. The leq/join/meet tables
-and the labels are filled from those keys on the first read of
-LcmLattice.lattice: a caller that reads only the elements, the atoms or the
-ideal (is_boolean) never pays for the N x N tables. Every element is the
-lcm of a subset of the generators, so one table over the 2^m generator
-subsets (the least element whose key contains each subset) turns join and
-meet into gathers, in row blocks of about BLOCK_BYTES each.
+build_lcm_lattice runs the join-closure on arrays: it adds one generator
+per round to an (N, nvars) exponent array and keys each element by the
+bitmask of the generators dividing it. The elements are then held once, as
+tuples in the canonical order of _element_sort_key. The leq/join/meet
+tables are filled from the keys, and the labels from the tuples, on the
+first read of LcmLattice.lattice: a caller that reads only the elements,
+the atoms or the ideal (is_boolean) never pays for the N x N tables. Every
+element is the lcm of a subset of the generators, so one table over the
+2^m generator subsets (the least element whose key contains each subset)
+turns join and meet into gathers, in row blocks of about BLOCK_BYTES each.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ DEFAULT_MAX_GENERATORS = 16
 # 12-edge matching (4096 elements) still builds. The cap dates from a peak
 # of 24 bytes per cell and is kept, so the inputs it refuses stay the same.
 DEFAULT_MAX_ELEMENTS = 6000
-# product() peaks at about 21 bytes per cell of its N x N tables, N = |L1|*|L2|:
-# the bool leq (1) and int32 join (4) it keeps while building meet, whose int64
-# outer sum and its transposed int64 copy (8 + 8) are alive at once. N = 80^2
-# keeps that peak at 21 * 6400^2 = 0.86e9 bytes, under 1 GB.
+# product() peaks at about 9 bytes per cell of its N x N tables, N = |L1|*|L2|:
+# it broadcasts each table straight into its final layout, so only the bool
+# leq and the int32 join and meet (1 + 4 + 4) exist. N = 80^2 keeps that at
+# 9 * 6400^2 = 0.37e9 bytes. The cap dates from a peak of 21 bytes per cell
+# and is kept, so the inputs it refuses stay the same.
 DEFAULT_MAX_PRODUCT = 6400
 # _fill_tables indexes an int32 table by the divisor-bitmask key, 2^m
 # entries for m generators: m = 24 keeps it at 4 * 2^24 bytes = 64 MiB
@@ -99,6 +101,20 @@ class FiniteLattice:
     def index_of_label(self, label: str) -> int:
         return self.labels.index(label)
 
+    @cached_property
+    def pentagon(self):
+        """kernels.pentagon_search on the tables, run on the first read only."""
+        from . import kernels  # kernels imports this module
+
+        return kernels.pentagon_search(self.join_table, self.meet_table, self.leq)
+
+    @cached_property
+    def diamond(self):
+        """kernels.diamond_search on the tables, run on the first read only."""
+        from . import kernels
+
+        return kernels.diamond_search(self.join_table, self.meet_table, self.leq)
+
     @classmethod
     def from_leq(cls, leq, labels=()) -> "FiniteLattice":
         """Build tables from an order matrix; raises if some lub/glb is missing."""
@@ -152,15 +168,14 @@ class LcmLattice:
     """The lcm-lattice of a monomial ideal, keeping the monomial behind each element.
 
     `lattice` (the leq/join/meet tables and the labels) is filled from
-    `exponents` and `keys` on its first read and cached; later reads return
+    `elements` and `keys` on its first read and cached; later reads return
     the same FiniteLattice.
     """
 
     ideal: MonomialIdeal
     elements: tuple                 # monomials; index 0 is the unit (0-hat)
     atom_indices: tuple             # indices of the minimal generators
-    exponents: np.ndarray = field(repr=False)  # int64 (n, nvars), the elements
-    keys: np.ndarray = field(repr=False)       # uint64 (n,), divisor bitmask of each element
+    keys: np.ndarray = field(repr=False)  # uint64 (n,), divisor bitmask of each element
 
     @property
     def size(self) -> int:
@@ -172,10 +187,12 @@ class LcmLattice:
 
     @cached_property
     def lattice(self) -> FiniteLattice:
-        return _fill_tables(self.exponents, self.keys, self.atom_count)
+        return _fill_tables(self.elements, self.keys, self.atom_count)
 
 
 def _element_sort_key(m):
+    """Total degree, then lexicographic exponents: the unit comes first, and
+    a proper divisor, of smaller degree, before its multiples."""
     return (total_degree(m), m)
 
 
@@ -200,8 +217,9 @@ def build_lcm_lattice(
 ) -> LcmLattice:
     """Join-closure of the generators plus the unit, in canonical order.
 
-    Elements come out as: unit first, then sorted by (total degree,
-    lexicographic exponents), so indices are stable across runs.
+    Elements come out in the order of _element_sort_key (the unit first,
+    then by total degree and lexicographic exponents), the same as
+    enumerate_subset_lcms, so indices are stable across runs.
 
     The closure runs on an (N, nvars) int64 exponent array, one generator
     per round: S_k = S_{k-1} | max(S_{k-1}, g_k), starting from {unit}.
@@ -243,18 +261,18 @@ def build_lcm_lattice(
                     f"lattice exceeds the element cap {max_elements}"
                 )
 
-    order = np.lexsort((*exps.T[::-1], exps.sum(axis=1)))
-    exps, keys = exps[order], keys[order]
-    exps.setflags(write=False)
+    rows = exps.tolist()
+    order = sorted(range(len(rows)), key=lambda i: _element_sort_key(rows[i]))
+    keys = keys[order]
     keys.setflags(write=False)
-    elements = tuple(map(tuple, exps.tolist()))
+    elements = tuple(tuple(rows[i]) for i in order)
     # a minimal generator's key is its own bit
     atom_indices = tuple(np.nonzero(keys == bits[:, None])[1].tolist())
-    return LcmLattice(I, elements, atom_indices, exps, keys)
+    return LcmLattice(I, elements, atom_indices, keys)
 
 
-def _fill_tables(exps: np.ndarray, keys: np.ndarray, m: int) -> FiniteLattice:
-    """The leq/join/meet tables and labels of the elements `exps` keyed by `keys`.
+def _fill_tables(elements: tuple, keys: np.ndarray, m: int) -> FiniteLattice:
+    """The leq/join/meet tables and labels of `elements` keyed by `keys`.
 
     least[s] is the first element, in index order, whose key contains the
     m-bit mask s: every entry starts at N, each element is scattered to its
@@ -264,8 +282,8 @@ def _fill_tables(exps: np.ndarray, keys: np.ndarray, m: int) -> FiniteLattice:
     the generators in key(a) | key(b), and meet(a, b) the lcm of those in
     key(a) & key(b). The lcm of the generators in a mask s is an element,
     its key contains s, and it divides every element whose key contains s.
-    So it is least[s] provided the index order extends divisibility;
-    build_lcm_lattice sorts by total degree first, which does. The tables
+    So it is least[s] provided the index order extends divisibility, as
+    the order of _element_sort_key (total degree first) does. The tables
     are gathers from least, in row blocks of about BLOCK_BYTES.
     """
     size = len(keys)
@@ -285,8 +303,7 @@ def _fill_tables(exps: np.ndarray, keys: np.ndarray, m: int) -> FiniteLattice:
         join[blk] = least[ka | kb]
         meet[blk] = least[ka & kb]
 
-    labels = tuple(monomial_str(e) for e in exps.tolist())
-    return FiniteLattice(leq, join, meet, labels)
+    return FiniteLattice(leq, join, meet, tuple(map(monomial_str, elements)))
 
 
 def enumerate_subset_lcms(I: MonomialIdeal):
@@ -331,27 +348,18 @@ def product(
 ) -> FiniteLattice:
     """Componentwise product; element (i, j) lives at index i*|L2| + j."""
     n1, n2 = L1.size, L2.size
-    if n1 * n2 > max_size:
-        raise SizeLimitError(
-            f"product size {n1 * n2} exceeds the cap {max_size}"
-        )
-    leq = (
-        np.logical_and.outer(L1.leq, L2.leq)
-        .transpose(0, 2, 1, 3)
-        .reshape(n1 * n2, n1 * n2)
-    )
-    join = (
-        np.add.outer(L1.join_table.astype(np.int64) * n2, L2.join_table)
-        .transpose(0, 2, 1, 3)
-        .reshape(n1 * n2, n1 * n2)
-        .astype(np.int32)
-    )
-    meet = (
-        np.add.outer(L1.meet_table.astype(np.int64) * n2, L2.meet_table)
-        .transpose(0, 2, 1, 3)
-        .reshape(n1 * n2, n1 * n2)
-        .astype(np.int32)
-    )
+    n = n1 * n2
+    if n > max_size:
+        raise SizeLimitError(f"product size {n} exceeds the cap {max_size}")
+
+    # entry [(i, j), (k, l)] broadcasts from t1[i, k] and t2[j, l], so each
+    # table is written once, already in its (n, n) layout
+    def grid(t1, t2):
+        return (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(n, n)
+
+    leq = (L1.leq[:, None, :, None] & L2.leq[None, :, None, :]).reshape(n, n)
+    join = grid(L1.join_table, L2.join_table)
+    meet = grid(L1.meet_table, L2.meet_table)
     labels = tuple(
         f"({a},{b})" for a in L1.labels for b in L2.labels
     )
@@ -400,12 +408,6 @@ def diamond_lattice() -> FiniteLattice:
         5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
         labels=("0", "a", "b", "c", "1"),
     )
-
-
-def atoms_of(L: FiniteLattice) -> list:
-    """Indices covering the bottom element."""
-    bot = L.bottom
-    return [b for a, b in hasse_edges(L) if a == bot]
 
 
 def _strict_and_covers(L: FiniteLattice):
@@ -535,14 +537,15 @@ def lattice_dot(L: LcmLattice) -> str:
     """DOT export: nodes labeled by monomial, ranked by total degree."""
     lines = ["digraph lcmlattice {", "  rankdir=BT;"]
     by_degree = {}
+    labels = L.lattice.labels
     for i, m in enumerate(L.elements):
-        label = "0̂" if i == 0 else monomial_str(m)
-        lines.append(f'  "{L.lattice.labels[i]}" [label="{label}"];')
+        label = "0̂" if i == 0 else labels[i]
+        lines.append(f'  "{labels[i]}" [label="{label}"];')
         by_degree.setdefault(total_degree(m), []).append(i)
     for _, group in sorted(by_degree.items()):
-        names = " ".join(f'"{L.lattice.labels[i]}"' for i in group)
+        names = " ".join(f'"{labels[i]}"' for i in group)
         lines.append(f"  {{ rank=same; {names} }}")
     for a, b in hasse_edges(L.lattice):
-        lines.append(f'  "{L.lattice.labels[a]}" -> "{L.lattice.labels[b]}";')
+        lines.append(f'  "{labels[a]}" -> "{labels[b]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

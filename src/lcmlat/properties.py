@@ -109,7 +109,7 @@ def is_modular(L: FiniteLattice) -> PropertyVerdict:
     is the witness.
     """
     join, meet, leq = L.join_table, L.meet_table, L.leq
-    pentagon = kernels.pentagon_search(join, meet, leq)
+    pentagon = find_n5(L)
     if pentagon is not None and L.size <= SWEEP_LIMIT:
         triple = kernels.modular_violation(join, meet, leq)
         if triple is None:
@@ -162,13 +162,19 @@ def _diamond_witness(L: FiniteLattice, dia) -> dict:
 
 
 def find_n5(L: FiniteLattice):
-    """Least pentagon sublattice as (bottom, side, chain_low, chain_high, top)."""
-    return kernels.pentagon_search(L.join_table, L.meet_table, L.leq)
+    """Least pentagon sublattice as (bottom, side, chain_low, chain_high, top).
+
+    Searched once per lattice; later calls read L.pentagon's cached result.
+    """
+    return L.pentagon
 
 
 def find_m3(L: FiniteLattice):
-    """Least diamond sublattice as (bottom, a, b, c, top) with a < b < c."""
-    return kernels.diamond_search(L.join_table, L.meet_table, L.leq)
+    """Least diamond sublattice as (bottom, a, b, c, top) with a < b < c.
+
+    Searched once per lattice; later calls read L.diamond's cached result.
+    """
+    return L.diamond
 
 
 def is_distributive(L: FiniteLattice) -> PropertyVerdict:

@@ -11,7 +11,6 @@ from lcmlat.audit import GeneratorConfig, SplitMix64, random_monomial_ideal
 from lcmlat.lattice import (
     FiniteLattice,
     SizeLimitError,
-    atoms_of,
     boolean_lattice,
     build_lcm_lattice,
     chain_lattice,
@@ -195,6 +194,20 @@ class TestProduct:
             tracemalloc.stop()
         assert peak / P.size**2 * lattice.DEFAULT_MAX_PRODUCT**2 < 1e9
 
+    def test_tables_are_the_peak(self):
+        # the bool leq and int32 join/meet are 9 bytes per cell; no wider
+        # temporary of the product's size is built
+        L1, L2 = boolean_lattice(5), boolean_lattice(5)
+        tracemalloc.start()
+        try:
+            P = product(L1, L2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / P.size**2 < 12
+        assert np.array_equal(P.join_table, boolean_lattice(10).join_table)
+        assert np.array_equal(P.meet_table, boolean_lattice(10).meet_table)
+
 
 class TestBooleanLattice:
     @pytest.mark.parametrize("r,size", [(0, 1), (2, 4), (3, 8)])
@@ -237,7 +250,7 @@ class TestHasse:
         covers = hasse_edges(lat)
         assert len(covers) == 257
         assert (0, 257) not in covers
-        assert atoms_of(lat) == [1]
+        assert lat.to_json_dict()["atoms"] == [1]
 
 
 class TestIsomorphism:
@@ -412,6 +425,21 @@ class TestClosureOracle:
             tracemalloc.stop()
         assert peak < 8 << 20
 
+    def test_wide_polarized_ring_costs_no_memory_per_variable(self):
+        # 60,000 variables after polarization, 16 elements: the sort is
+        # over the elements, not over the variables
+        I, _ = polarize(MonomialIdeal.make(
+            3, [(20000, 1, 0), (0, 20000, 1), (1, 0, 20000), (7000, 7000, 7000)]))
+        assert I.ring_dimension == 60000
+        tracemalloc.start()
+        try:
+            L = build_lcm_lattice(I)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 << 20
+        assert list(L.elements) == enumerate_subset_lcms(I)
+
     def test_boolean_join_and_meet_are_union_and_intersection(self):
         # a 12-edge matching: every generator subset is an element key
         L = build_lcm_lattice(_disjoint_ideal([[(1, 1)]] * 12))
@@ -474,6 +502,34 @@ class TestElementCap:
         assert peak < 8 << 20
 
 
+FIG3_DOT = """\
+digraph lcmlattice {
+  rankdir=BT;
+  "1" [label="0̂"];
+  "x4*x5*x6" [label="x4*x5*x6"];
+  "x2*x3*x4" [label="x2*x3*x4"];
+  "x1*x2*x3" [label="x1*x2*x3"];
+  "x1*x2*x3*x4" [label="x1*x2*x3*x4"];
+  "x2*x3*x4*x5*x6" [label="x2*x3*x4*x5*x6"];
+  "x1*x2*x3*x4*x5*x6" [label="x1*x2*x3*x4*x5*x6"];
+  { rank=same; "1" }
+  { rank=same; "x4*x5*x6" "x2*x3*x4" "x1*x2*x3" }
+  { rank=same; "x1*x2*x3*x4" }
+  { rank=same; "x2*x3*x4*x5*x6" }
+  { rank=same; "x1*x2*x3*x4*x5*x6" }
+  "1" -> "x4*x5*x6";
+  "1" -> "x2*x3*x4";
+  "1" -> "x1*x2*x3";
+  "x4*x5*x6" -> "x2*x3*x4*x5*x6";
+  "x2*x3*x4" -> "x1*x2*x3*x4";
+  "x2*x3*x4" -> "x2*x3*x4*x5*x6";
+  "x1*x2*x3" -> "x1*x2*x3*x4";
+  "x1*x2*x3*x4" -> "x1*x2*x3*x4*x5*x6";
+  "x2*x3*x4*x5*x6" -> "x1*x2*x3*x4*x5*x6";
+}
+"""
+
+
 class TestExports:
     def test_json_shape(self, fig3_lattice):
         import json
@@ -489,3 +545,6 @@ class TestExports:
         assert dot.startswith("digraph")
         assert dot.count(" -> ") == 9
         assert '"1" [label="0̂"]' in dot
+
+    def test_dot_is_pinned(self, fig3_lattice):
+        assert lattice_dot(fig3_lattice) == FIG3_DOT

@@ -234,6 +234,15 @@ class TestForbiddenSublattices:
         assert z == 0 and w == lat.top
         assert {a, b, c} == set(triangle_lattice.atom_indices)
 
+    def test_all_properties_searches_once(self, monkeypatch):
+        pentagons = _counting(monkeypatch, "pentagon_search")
+        diamonds = _counting(monkeypatch, "diamond_search")
+        # a fresh P4 lattice: not modular, so not distributive either
+        L = build_lcm_lattice(edge_ideal(Hypergraph.make(4, [{1, 2}, {2, 3}, {3, 4}])))
+        verdicts = properties.all_properties(L)
+        assert [v.holds for v in verdicts[1:3]] == [False, False]
+        assert pentagons == [L.size] and diamonds == [L.size]
+
     def test_tetra_diamond(self, tetra_lattice):
         dia = find_m3(tetra_lattice.lattice)
         assert dia is not None
