@@ -1,0 +1,126 @@
+"""Compare the lcmlat CLI of two source trees byte for byte.
+
+Runs a fixed list of commands (build json and dot, check with every
+property, conditions, polarize, product, iso, a default audit of every
+theorem, and the sampled ideal audits for seeds 1, 2 and 9) against each
+tree's `src/` and compares stdout, stderr and exit code. Then it runs a list
+of malformed input files and prints both trees' exit code and stderr, since
+a refusal may change on purpose.
+
+    mkdir ../parent && git archive <parent commit> | tar -x -C ../parent
+    python scripts/cli_bytecheck.py ../parent .
+
+Exits 1 if any command of the fixed list differs. Takes about 40 s per tree
+on a 2-core machine; the fixtures go to a temporary directory that both
+trees read, so the paths in error messages match.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HYPERGRAPHS = {
+    "p4": (4, [[1, 2], [2, 3], [3, 4]]),
+    "triangle": (3, [[1, 2], [1, 3], [2, 3]]),
+    "fig3": (6, [[1, 2, 3], [2, 3, 4], [4, 5, 6]]),
+    "matching10": (20, [[2 * i + 1, 2 * i + 2] for i in range(10)]),
+    # M3 x B10: the triangle plus ten disjoint edges, 5120 elements
+    "m3xb10": (23, [[1, 2], [1, 3], [2, 3]] + [[4 + 2 * i, 5 + 2 * i] for i in range(10)]),
+}
+IDEALS = {
+    "fig3": "ring 6\nx1*x2*x3\nx2*x3*x4\nx4*x5*x6\n",
+    "powers": "ring 3\nx1^2*x2\nx2^3\nx1*x3^2\n",
+    "b2": "ring 2\nx1\nx2\n",
+    "chain": "ring 1\nx1\n",
+}
+PROPERTIES = ["all", "boolean", "modular", "distributive", "complemented",
+              "relatively-complemented"]
+THEOREMS = ["boolean", "modular", "graph-complemented", "hypergraph-complemented",
+            "relatively-complemented", "product-complemented", "polarization-iso",
+            "birkhoff-crosscheck"]
+MALFORMED_HYPERGRAPHS = {
+    "str_vertices": '{"n": 3, "edges": [["1", "2"]]}',
+    "edges_object": '{"n": 3, "edges": {"a": 1}}',
+    "list_vertex": '{"n": 3, "edges": [[[1], 2]]}',
+    "n_infinity": '{"n": Infinity, "edges": [[1, 2]]}',
+    "deep": '{"n": 3, "edges": ' + "[" * 5000 + "]" * 5000 + "}",
+    "n_float": '{"n": 2.7, "edges": [[1, 2]]}',
+    "bool_vertex": '{"n": 2, "edges": [[true, 2]]}',
+}
+MALFORMED_IDEALS = {
+    "ring_underscore": "ring 1_0\nx1*x2\n",
+    "fullwidth_variable": "ring 2\nx１*x2\n",
+    "fullwidth_ring": "ring ３\nx1\n",
+}
+
+
+def commands(fx: Path) -> tuple:
+    hg, ideal = {}, {}
+    for name, (n, edges) in HYPERGRAPHS.items():
+        hg[name] = fx / f"{name}.json"
+        hg[name].write_text(json.dumps({"n": n, "edges": edges}))
+    for name, text in IDEALS.items():
+        ideal[name] = fx / f"{name}.ideal"
+        ideal[name].write_text(text)
+    same = []
+    for path in hg.values():
+        same.append(["build", "--hypergraph", path])
+        same.append(["build", "--hypergraph", path, "--format", "dot"])
+        same.extend(["check", "--hypergraph", path, "--property", p] for p in PROPERTIES)
+        same.append(["conditions", "--hypergraph", path])
+    for path in ideal.values():
+        same.append(["build", "--ideal", path])
+        same.append(["check", "--ideal", path])
+        same.append(["polarize", "--ideal", path])
+    for cmd in ("product", "iso"):
+        same.append([cmd, "--ideal", ideal["fig3"], "--ideal", ideal["b2"]])
+        same.append([cmd, "--ideal", ideal["powers"], "--ideal", ideal["chain"]])
+    same.extend(["audit", "--theorem", t] for t in THEOREMS)
+    for t in ("polarization-iso", "birkhoff-crosscheck"):
+        same.extend(["audit", "--theorem", t, "--seed", s] for s in ("1", "2", "9"))
+    same.append(["audit", "--theorem", "modular", "--count", "200", "--seed", "7",
+                 "--n", "4..9", "--k", "2..4", "--m", "3..6"])
+
+    malformed = []
+    for name, text in MALFORMED_HYPERGRAPHS.items():
+        path = fx / f"bad_{name}.json"
+        path.write_text(text)
+        malformed.append(["conditions", "--hypergraph", path])
+        malformed.append(["check", "--hypergraph", path])
+    for name, text in MALFORMED_IDEALS.items():
+        path = fx / f"bad_{name}.ideal"
+        path.write_text(text, encoding="utf-8")
+        malformed.append(["build", "--ideal", path])
+    return same, malformed
+
+
+def run(tree: str, argv: list) -> tuple:
+    env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
+    done = subprocess.run([sys.executable, "-m", "lcmlat.cli", *map(str, argv)],
+                          capture_output=True, env=env, timeout=600)
+    return done.returncode, done.stdout, done.stderr
+
+
+def main() -> int:
+    old, new = sys.argv[1], sys.argv[2]
+    with tempfile.TemporaryDirectory() as tmp:
+        same, malformed = commands(Path(tmp))
+        differing = 0
+        for argv in same:
+            a, b = run(old, argv), run(new, argv)
+            if a != b:
+                differing += 1
+                print("DIFF", *argv, a[0], b[0], a[2][:200], b[2][:200])
+        print(f"{len(same) - differing}/{len(same)} commands byte-identical")
+        for argv in malformed:
+            a, b = run(old, argv), run(new, argv)
+            print(argv[0], Path(argv[-1]).name, "| old", a[0], a[2].decode().strip()[-160:],
+                  "| new", b[0], b[2].decode().strip())
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

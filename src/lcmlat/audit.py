@@ -47,6 +47,18 @@ THEOREMS = (
     "birkhoff-crosscheck",
 )
 
+# hypergraph theorem -> (its condition's name in `conditions`, the name in
+# properties.PROPERTIES of the property it predicts, and True if the condition
+# predicts that the property holds, False if it predicts that it fails);
+# names, not functions, so every call looks the function up
+PREDICTIONS = {
+    "boolean": ("private_vertex_check", "boolean", True),
+    "modular": ("predicts_modular", "modular", True),
+    "graph-complemented": ("degree1_path_check", "complemented", False),
+    "hypergraph-complemented": ("blocking_triplet_check", "complemented", False),
+    "relatively-complemented": ("induced_p4_check", "relatively-complemented", False),
+}
+
 EXHAUSTIVE_THRESHOLD = 20000
 _REDRAW_LIMIT = 200
 
@@ -218,47 +230,13 @@ def audit_instance(theorem: str, instance) -> AuditReport:
     The two sides are computed independently; disagreement sets agree=False
     and both witnesses are attached.
     """
-    if theorem == "boolean":
-        H = instance
-        cond = conditions.private_vertex_check(H)
-        L = build_lcm_lattice(edge_ideal(H))
-        verdict = properties.is_boolean(L)
-        return _report(theorem, _describe_hypergraph(H), cond.holds, verdict.holds,
-                       cond.evidence, verdict.witness)
-
-    if theorem == "modular":
-        H = instance
-        if H.uniformity() is None:
-            raise ValueError("modular audit needs a k-uniform hypergraph")
-        cond = conditions.predicts_modular(H)
-        L = build_lcm_lattice(edge_ideal(H))
-        verdict = properties.is_modular(L.lattice)
-        predicted = HYPOTHESIS_NOT_MET if cond.status == HYPOTHESIS_NOT_MET else cond.holds
-        return _report(theorem, _describe_hypergraph(H), predicted, verdict.holds,
-                       cond.evidence, verdict.witness)
-
-    if theorem == "graph-complemented":
-        G = instance
-        cond = conditions.degree1_path_check(G)
-        L = build_lcm_lattice(edge_ideal(G))
-        verdict = properties.is_complemented(L.lattice)
-        return _report(theorem, _describe_hypergraph(G), not cond.holds, verdict.holds,
-                       cond.evidence, verdict.witness)
-
-    if theorem == "hypergraph-complemented":
-        H = instance
-        cond = conditions.blocking_triplet_check(H)
-        L = build_lcm_lattice(edge_ideal(H))
-        verdict = properties.is_complemented(L.lattice)
-        return _report(theorem, _describe_hypergraph(H), not cond.holds, verdict.holds,
-                       cond.evidence, verdict.witness)
-
-    if theorem == "relatively-complemented":
-        G = instance
-        cond = conditions.induced_p4_check(G)
-        L = build_lcm_lattice(edge_ideal(G))
-        verdict = properties.is_relatively_complemented(L.lattice)
-        return _report(theorem, _describe_hypergraph(G), not cond.holds, verdict.holds,
+    if theorem in PREDICTIONS:
+        condition, prop, holds_if_met = PREDICTIONS[theorem]
+        cond = getattr(conditions, condition)(instance)
+        verdict = properties.decide(prop, build_lcm_lattice(edge_ideal(instance)))
+        predicted = (HYPOTHESIS_NOT_MET if cond.status == HYPOTHESIS_NOT_MET
+                     else cond.holds == holds_if_met)
+        return _report(theorem, _describe_hypergraph(instance), predicted, verdict.holds,
                        cond.evidence, verdict.witness)
 
     if theorem == "product-complemented":

@@ -26,7 +26,6 @@ from .lattice import (
     product,
 )
 from .monomials import (
-    Hypergraph,
     MonomialIdeal,
     edge_ideal,
     ideal_to_text,
@@ -35,15 +34,6 @@ from .monomials import (
     parse_ideal_text,
     polarize,
 )
-
-PROPERTY_ORDER = (
-    "boolean",
-    "modular",
-    "distributive",
-    "complemented",
-    "relatively-complemented",
-)
-
 
 class CliError(Exception):
     pass
@@ -87,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide lattice properties")
     add_input_flags(p)
     p.add_argument("--property", default="all",
-                   choices=PROPERTY_ORDER + ("all",))
+                   choices=properties.PROPERTIES + ("all",))
     p.add_argument("--assert", dest="assert_mode", action="store_true",
                    help="exit 1 if any checked property is false")
 
@@ -125,28 +115,24 @@ def _load_lattice(args):
     if getattr(args, "ideal", None) and getattr(args, "hypergraph", None):
         raise CliError("--ideal and --hypergraph are mutually exclusive")
     if getattr(args, "ideal", None):
-        I = _read_ideal(args.ideal)
+        I = _read(args.ideal, parse_ideal_text)
     elif getattr(args, "hypergraph", None):
-        I = edge_ideal(_read_hypergraph(args.hypergraph))
+        I = edge_ideal(_read(args.hypergraph, parse_hypergraph_json))
     else:
         raise CliError("one of --ideal or --hypergraph is required")
+    return _build(args, I)
+
+
+def _build(args, I: MonomialIdeal):
     return build_lcm_lattice(
         I, max_generators=args.max_generators, max_elements=args.max_lattice
     )
 
 
-def _read_ideal(path: str) -> MonomialIdeal:
+def _read(path: str, parse):
+    """parse applied to the text of the file at path; its errors name the file."""
     try:
-        return parse_ideal_text(Path(path).read_text())
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}")
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}")
-
-
-def _read_hypergraph(path: str) -> Hypergraph:
-    try:
-        return parse_hypergraph_json(Path(path).read_text())
+        return parse(Path(path).read_text())
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
     except ValueError as exc:
@@ -174,15 +160,7 @@ def _cmd_check(args) -> int:
     if args.property == "all":
         verdicts = properties.all_properties(L)
     else:
-        fn = {
-            "boolean": lambda: properties.is_boolean(L),
-            "modular": lambda: properties.is_modular(L.lattice),
-            "distributive": lambda: properties.is_distributive(L.lattice),
-            "complemented": lambda: properties.is_complemented(L.lattice),
-            "relatively-complemented":
-                lambda: properties.is_relatively_complemented(L.lattice),
-        }[args.property]
-        verdicts = [fn()]
+        verdicts = [properties.decide(args.property, L)]
     lines = [json.dumps(v.to_json_dict(), sort_keys=True) for v in verdicts]
     _emit(args, "\n".join(lines) + "\n")
     if args.assert_mode and not all(v.holds for v in verdicts):
@@ -193,7 +171,7 @@ def _cmd_check(args) -> int:
 def _cmd_conditions(args) -> int:
     if not getattr(args, "hypergraph", None):
         raise CliError("conditions needs --hypergraph")
-    H = _read_hypergraph(args.hypergraph)
+    H = _read(args.hypergraph, parse_hypergraph_json)
     verdicts = [conditions.private_vertex_check(H),
                 conditions.uniform_n_minus_1_check(H)]
     if H.uniformity() is not None:
@@ -210,7 +188,7 @@ def _cmd_conditions(args) -> int:
 def _cmd_polarize(args) -> int:
     if not getattr(args, "ideal", None):
         raise CliError("polarize needs --ideal")
-    I = _read_ideal(args.ideal)
+    I = _read(args.ideal, parse_ideal_text)
     polarized, pmap = polarize(I)
     out = {
         "source": {"ring": I.ring_dimension, "generators": I.generator_strings()},
@@ -229,13 +207,7 @@ def _cmd_polarize(args) -> int:
 def _two_lattices(args):
     if len(args.ideal) != 2:
         raise CliError("give --ideal exactly twice")
-    L1 = build_lcm_lattice(_read_ideal(args.ideal[0]),
-                           max_generators=args.max_generators,
-                           max_elements=args.max_lattice)
-    L2 = build_lcm_lattice(_read_ideal(args.ideal[1]),
-                           max_generators=args.max_generators,
-                           max_elements=args.max_lattice)
-    return L1, L2
+    return [_build(args, _read(path, parse_ideal_text)) for path in args.ideal]
 
 
 def _cmd_product(args) -> int:

@@ -134,8 +134,6 @@ def blocking_triplet_check(H: Hypergraph) -> ConditionVerdict:
     for e2 in edges:
         others = [e for e in edges if e != e2]
         for e1, e3 in permutations(others, 2):
-            if e1 is e3:
-                continue
             if not (e1 & e2) or not (e2 & e3):
                 continue
             if not e2 <= (e1 | e3):

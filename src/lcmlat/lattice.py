@@ -22,11 +22,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
-from .monomials import MonomialIdeal, monomial_str, total_degree, unit
+from .monomials import MonomialIdeal, monomial_str, subset_lcms, total_degree
 
 DEFAULT_MAX_GENERATORS = 16
 # `check --property all` peaks at about 20 bytes per cell of the N x N tables
@@ -312,17 +311,8 @@ def enumerate_subset_lcms(I: MonomialIdeal):
     Returns the deduplicated element list in the same canonical order as
     build_lcm_lattice; kept independent of the join-closure path.
     """
-    n = I.ring_dimension
-    gens = I.generators
-    seen = {unit(n)}
-    for r in range(1, len(gens) + 1):
-        for subset in combinations(gens, r):
-            acc = subset[0]
-            for g in subset[1:]:
-                acc = tuple(max(x, y) for x, y in zip(acc, g))
-            seen.add(acc)
-    nonunit = sorted(seen - {unit(n)}, key=_element_sort_key)
-    return [unit(n)] + nonunit
+    lcms = {lcm for _, lcm in subset_lcms(I.generators, I.ring_dimension)}
+    return sorted(lcms, key=_element_sort_key)
 
 
 def interval(L: FiniteLattice, x: int, y: int):

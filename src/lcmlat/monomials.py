@@ -17,7 +17,7 @@ Monomial = tuple  # tuple[int, ...], exponent vector
 
 MAX_EXPONENT = 1 << 16  # keeps polarization dimensions bounded
 
-_FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+_FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$", re.ASCII)
 
 
 class DimensionMismatch(ValueError):
@@ -64,6 +64,21 @@ def total_degree(m: Monomial) -> int:
 
 def is_squarefree(m: Monomial) -> bool:
     return all(e <= 1 for e in m)
+
+
+def subset_lcms(gens, n: int):
+    """Yield (mask, lcm of the generators whose bits mask sets), masks 0..2^m - 1.
+
+    The lcm of mask is that of mask without its lowest bit, lcm that bit's
+    generator: one componentwise max per subset. Every generator has n
+    exponents; the empty subset's lcm is the unit.
+    """
+    acc = [unit(n)] * (1 << len(gens))
+    yield 0, acc[0]
+    for mask in range(1, len(acc)):
+        low = mask & -mask
+        acc[mask] = tuple(map(max, acc[mask ^ low], gens[low.bit_length() - 1]))
+        yield mask, acc[mask]
 
 
 def monomial_str(m: Monomial) -> str:
@@ -299,8 +314,8 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
     if not lines:
         raise ValueError("empty ideal file")
     header = lines[0].split()
-    if len(header) != 2 or header[0] != "ring":
-        raise ValueError("ideal file must start with 'ring <n>'")
+    if len(header) != 2 or header[0] != "ring" or not re.fullmatch("[0-9]+", header[1]):
+        raise ValueError("ideal file must start with 'ring <n>', n in ASCII digits")
     n = int(header[1])
     if n < 1:
         raise ValueError("ring dimension must be positive")
@@ -317,11 +332,25 @@ def ideal_to_text(I: MonomialIdeal) -> str:
 
 
 def parse_hypergraph_json(text: str) -> Hypergraph:
-    """Hypergraph file: JSON {"n": <int>, "edges": [[...], ...]}, 1-based vertices."""
-    obj = json.loads(text)
+    """Hypergraph file: JSON {"n": <int>, "edges": [[<int>, ...], ...]}, 1-based vertices.
+
+    The shape is checked here, not in Hypergraph, which the audit streams
+    build by the thousand from values that already have it.
+    """
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("hypergraph JSON nests too deeply")
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError('hypergraph JSON must be {"n": ..., "edges": [...]}')
-    return Hypergraph.make(int(obj["n"]), obj["edges"])
+    n, edges = obj["n"], obj["edges"]
+    # type() is int rejects bool, which isinstance(v, int) lets through
+    if type(n) is not int:
+        raise ValueError(f'hypergraph "n" must be an integer; got {n!r}')
+    if not (isinstance(edges, list) and all(
+            isinstance(e, list) and all(type(v) is int for v in e) for e in edges)):
+        raise ValueError('hypergraph "edges" must be a list of lists of integer vertices')
+    return Hypergraph.make(n, edges)
 
 
 def hypergraph_to_json(H: Hypergraph) -> str:

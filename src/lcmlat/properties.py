@@ -36,7 +36,10 @@ from .lattice import (
     interval,
     is_isomorphic,  # noqa: F401 -- unused; perfbench/tracer.py patches this name
 )
-from .monomials import monomial_str, unit
+from .monomials import monomial_str, subset_lcms
+
+# the `check --property` names, in the order of `check --property all`
+PROPERTIES = ("boolean", "modular", "distributive", "complemented", "relatively-complemented")
 
 # at or below this size a non-modular lattice's witness is the first failing
 # triple of the O(n^3) modular law sweep; above it, the pentagon found
@@ -69,7 +72,7 @@ def is_boolean(L: LcmLattice) -> PropertyVerdict:
     """
     m = L.atom_count
     by_count = L.size == (1 << m)
-    witness = _first_lcm_collision(L.ideal.generators, L.ideal.ring_dimension, m)
+    witness = _first_lcm_collision(L.ideal.generators, L.ideal.ring_dimension)
     if by_count != (witness is None):
         raise RuntimeError(
             "boolean routes disagree: cardinality says "
@@ -78,24 +81,17 @@ def is_boolean(L: LcmLattice) -> PropertyVerdict:
     return PropertyVerdict("boolean", by_count, witness)
 
 
-def _first_lcm_collision(gens, ring_dimension: int, m: int) -> dict | None:
-    """First mask whose subset lcm an earlier mask already produced, or None.
-
-    acc[mask] is acc[mask without its lowest bit] lcm that bit's generator,
-    so each subset costs one componentwise max; the generators share the
-    ring dimension, which MonomialIdeal checked once.
-    """
-    acc = [unit(ring_dimension)] * (1 << m)
-    seen = {acc[0]: 0}
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        acc[mask] = tuple(map(max, acc[mask ^ low], gens[low.bit_length() - 1]))
-        first = seen.setdefault(acc[mask], mask)
+def _first_lcm_collision(gens, ring_dimension: int) -> dict | None:
+    """First mask whose subset lcm an earlier mask already produced, or None."""
+    m = len(gens)
+    seen = {}
+    for mask, lcm in subset_lcms(gens, ring_dimension):
+        first = seen.setdefault(lcm, mask)
         if first != mask:
             return {
                 "subset_a": [i + 1 for i in range(m) if mask >> i & 1],
                 "subset_b": [i + 1 for i in range(m) if first >> i & 1],
-                "shared_lcm": monomial_str(acc[mask]),
+                "shared_lcm": monomial_str(lcm),
             }
     return None
 
@@ -244,12 +240,17 @@ def is_relatively_complemented(L: FiniteLattice) -> PropertyVerdict:
         "element": _labeled(L, idx[verdict.witness["element"]["index"]])})
 
 
+def decide(name: str, L: LcmLattice) -> PropertyVerdict:
+    """The verdict on the property name, one of PROPERTIES. is_boolean reads
+    L itself, the others its tables; each decider is looked up by name on
+    every call, so a wrapper set on this module's attribute sees it."""
+    if name not in PROPERTIES:
+        raise ValueError(f"unknown property {name!r} (expected one of {PROPERTIES})")
+    if name == "boolean":
+        return is_boolean(L)
+    return globals()["is_" + name.replace("-", "_")](L.lattice)
+
+
 def all_properties(L: LcmLattice) -> list:
     """The fixed order used by `check --property all`."""
-    return [
-        is_boolean(L),
-        is_modular(L.lattice),
-        is_distributive(L.lattice),
-        is_complemented(L.lattice),
-        is_relatively_complemented(L.lattice),
-    ]
+    return [decide(name, L) for name in PROPERTIES]

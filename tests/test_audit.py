@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -154,6 +155,26 @@ class TestAuditInstance:
 
 
 class TestAuditBatch:
+    # sha256 of the default stream's report lines, one per hypergraph theorem;
+    # the audits' own output is the contract, so any change here is a change
+    # of verdict, witness or evidence
+    DIGESTS = {
+        "boolean": "a526ffac1e9746df4916950c8cd3e3d3d895e40b4db1be1c92544fc64d2ae78f",
+        "modular": "407c7779e2d338c5c45f72d9e4d864a392d87582411bba2897e56f2a943f8fe3",
+        "graph-complemented":
+            "b9b47305f6ff0fb8414763a978a3f92317b5105febe285f57ed1d90d146e50d3",
+        "hypergraph-complemented":
+            "147b87a2ea26536eed73841b55e2be6402f975bd0c0db52b397df7cb0140cc74",
+        "relatively-complemented":
+            "8432e68dd0d6dbedbf59ad9b1acc25bea22c33d9cf8e8bf5259de5f01f811d56",
+    }
+
+    @pytest.mark.parametrize("theorem", sorted(DIGESTS))
+    def test_default_stream_is_pinned(self, theorem):
+        _, reports = audit_batch(theorem, GeneratorConfig())
+        blob = "\n".join(r.to_json_line() for r in reports).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.DIGESTS[theorem]
+
     def test_birkhoff_sample(self):
         cfg = GeneratorConfig(seed=11, n_range=(2, 4), m_range=(1, 4), count=40)
         summary, reports = audit_batch("birkhoff-crosscheck", cfg)

@@ -181,6 +181,52 @@ class TestConditions:
         assert code == 2
 
 
+MALFORMED_HYPERGRAPHS = {
+    "string vertices": '{"n": 3, "edges": [["1", "2"]]}',
+    "edges an object": '{"n": 3, "edges": {"a": 1}}',
+    "list vertex": '{"n": 3, "edges": [[[1], 2]]}',
+    "infinite n": '{"n": Infinity, "edges": [[1, 2]]}',
+    "fractional n": '{"n": 2.7, "edges": [[1, 2]]}',
+    "boolean n": '{"n": true, "edges": [[1]]}',
+    "boolean vertex": '{"n": 2, "edges": [[true, 2]]}',
+    "deep nesting": '{"n": 3, "edges": ' + "[" * 5000 + "]" * 5000 + "}",
+}
+MALFORMED_IDEALS = {
+    "underscore in ring": "ring 1_0\nx1*x2\n",
+    "non-ASCII ring": "ring \uff13\nx1\n",
+    "signed ring": "ring +3\nx1\n",
+    "non-ASCII variable": "ring 2\nx\uff11*x2\n",
+    "non-ASCII exponent": "ring 2\nx1^\uff12\n",
+}
+
+
+class TestMalformedFiles:
+    """Every malformed input file ends in exit 2 and one JSON line naming it."""
+
+    @staticmethod
+    def assert_refused(capsys, path, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert set(error) == {"error"} and path in error["error"]
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_HYPERGRAPHS))
+    @pytest.mark.parametrize("command", ["check", "conditions"])
+    def test_hypergraph(self, capsys, tmp_path, name, command):
+        p = tmp_path / "h.json"
+        p.write_text(MALFORMED_HYPERGRAPHS[name])
+        self.assert_refused(capsys, str(p), command, "--hypergraph", str(p))
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_IDEALS))
+    @pytest.mark.parametrize("command", ["build", "polarize"])
+    def test_ideal(self, capsys, tmp_path, name, command):
+        p = tmp_path / "i.ideal"
+        p.write_text(MALFORMED_IDEALS[name], encoding="utf-8")
+        self.assert_refused(capsys, str(p), command, "--ideal", str(p))
+
+
 class TestPolarize:
     def test_worked_example(self, capsys, tmp_path):
         p = tmp_path / "ideal.txt"

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -351,6 +352,20 @@ class TestClosureOracle:
     @given(st.one_of(ideal_strategy(4, 8, 3), antichain_ideal_strategy()))
     def test_join_closure_equals_subset_enumeration(self, I):
         self.check(I)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ideal_strategy(4, 8, 3))
+    def test_oracle_equals_a_fold_over_each_subset(self, I):
+        # the fold the oracle used before it shared monomials.subset_lcms
+        n = I.ring_dimension
+        seen = {(0,) * n}
+        for r in range(1, len(I.generators) + 1):
+            for subset in combinations(I.generators, r):
+                acc = subset[0]
+                for g in subset[1:]:
+                    acc = lcm(acc, g)
+                seen.add(acc)
+        assert enumerate_subset_lcms(I) == sorted(seen, key=lambda m: (sum(m), m))
 
     @pytest.mark.parametrize("name", ["fig3_lattice", "tetra_lattice", "fig5_lattice", "p4_lattice"])
     def test_fixture_ideals(self, name, request):

@@ -17,6 +17,7 @@ from lcmlat.monomials import (
     parse_ideal_text,
     parse_monomial,
     polarize,
+    subset_lcms,
     unit,
 )
 
@@ -71,6 +72,21 @@ class TestLcmDivides:
         a, b, _ = triple
         if divides(a, b) and divides(b, a):
             assert a == b
+
+
+class TestSubsetLcms:
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=6)))
+    def test_each_mask_is_the_lcm_of_its_generators(self, gens):
+        n = len(gens[0]) if gens else 2
+        got = list(subset_lcms(gens, n))
+        assert [mask for mask, _ in got] == list(range(1 << len(gens)))
+        for mask, m in got:
+            acc = unit(n)
+            for i, g in enumerate(gens):
+                if mask >> i & 1:
+                    acc = lcm(acc, g)
+            assert m == acc
 
 
 class TestMinimalize:

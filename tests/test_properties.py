@@ -17,8 +17,11 @@ from lcmlat.lattice import (
 )
 from lcmlat.monomials import Hypergraph, MonomialIdeal, edge_ideal, lcm, monomial_str, unit
 from lcmlat.properties import (
+    PROPERTIES,
     PropertyVerdict,
+    all_properties,
     complements_of,
+    decide,
     find_m3,
     find_n5,
     is_boolean,
@@ -431,6 +434,44 @@ def _relatively_complemented_by_intervals(L):
                 "element": {"index": inner, "label": L.labels[inner]},
             })
     return PropertyVerdict("relatively-complemented", True)
+
+
+class TestDecide:
+    @pytest.mark.parametrize("fixture", [
+        "fig3_lattice", "tetra_lattice", "fig5_lattice", "p4_lattice", "triangle_lattice",
+    ])
+    def test_each_name_is_its_decider(self, fixture, request):
+        L = request.getfixturevalue(fixture)
+        named = {
+            "boolean": lambda: is_boolean(L),
+            "modular": lambda: is_modular(L.lattice),
+            "distributive": lambda: is_distributive(L.lattice),
+            "complemented": lambda: is_complemented(L.lattice),
+            "relatively-complemented": lambda: is_relatively_complemented(L.lattice),
+        }
+        assert PROPERTIES == tuple(named)  # also the order of `check --property all`
+        for name in PROPERTIES:
+            verdict = decide(name, L)
+            assert verdict == named[name]()
+            assert verdict.property == name
+        assert all_properties(L) == [decide(name, L) for name in PROPERTIES]
+
+    def test_decider_is_looked_up_per_call(self, monkeypatch, p4_lattice):
+        seen = []
+        original = properties.is_relatively_complemented
+
+        def recording(L):
+            seen.append(L)
+            return original(L)
+
+        monkeypatch.setattr(properties, "is_relatively_complemented", recording)
+        decide("relatively-complemented", p4_lattice)
+        assert seen == [p4_lattice.lattice]
+
+    def test_unknown_name(self, p4_lattice):
+        # is_isomorphic is an attribute of the module, but not a property
+        with pytest.raises(ValueError, match="unknown property 'isomorphic'"):
+            decide("isomorphic", p4_lattice)
 
 
 class TestImplicationChain:
