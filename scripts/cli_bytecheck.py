@@ -2,10 +2,11 @@
 
 Runs a fixed list of commands (build json and dot, check with every
 property, conditions, polarize, product, iso, a default audit of every
-theorem, and the sampled ideal audits for seeds 1, 2 and 9) against each
-tree's `src/` and compares stdout, stderr and exit code. Then it runs a list
-of malformed input files and prints both trees' exit code and stderr, since
-a refusal may change on purpose.
+theorem, the sampled ideal audits for seeds 1, 2 and 9, three sampled
+hypergraph audits, an unknown theorem, and polarize of a 5-variable ideal at
+the exponent cap) against each tree's `src/` and compares stdout, stderr and
+exit code. Then it runs a list of malformed input files and prints both
+trees' exit code and stderr, since a refusal may change on purpose.
 
     mkdir ../parent && git archive <parent commit> | tar -x -C ../parent
     python scripts/cli_bytecheck.py ../parent .
@@ -36,6 +37,8 @@ IDEALS = {
     "b2": "ring 2\nx1\nx2\n",
     "chain": "ring 1\nx1\n",
 }
+# x1^65536*x2, x2^65536*x3, ..., x5^65536*x1: 327,680 polarized variables
+CAP5_IDEAL = "ring 5\n" + "".join(f"x{i}^65536*x{i % 5 + 1}\n" for i in range(1, 6))
 PROPERTIES = ["all", "boolean", "modular", "distributive", "complemented",
               "relatively-complemented"]
 THEOREMS = ["boolean", "modular", "graph-complemented", "hypergraph-complemented",
@@ -49,11 +52,14 @@ MALFORMED_HYPERGRAPHS = {
     "deep": '{"n": 3, "edges": ' + "[" * 5000 + "]" * 5000 + "}",
     "n_float": '{"n": 2.7, "edges": [[1, 2]]}',
     "bool_vertex": '{"n": 2, "edges": [[true, 2]]}',
+    "repeated_vertex": '{"n": 3, "edges": [[1, 1, 2], [2, 3]]}',
+    "n_over_cap": '{"n": 1048577, "edges": [[1, 2]]}',
 }
 MALFORMED_IDEALS = {
     "ring_underscore": "ring 1_0\nx1*x2\n",
     "fullwidth_variable": "ring 2\nx１*x2\n",
     "fullwidth_ring": "ring ３\nx1\n",
+    "ring_over_cap": "ring 1048577\nx1\n",
 }
 
 
@@ -75,6 +81,9 @@ def commands(fx: Path) -> tuple:
         same.append(["build", "--ideal", path])
         same.append(["check", "--ideal", path])
         same.append(["polarize", "--ideal", path])
+    cap5 = fx / "cap5.ideal"
+    cap5.write_text(CAP5_IDEAL)
+    same.append(["polarize", "--ideal", cap5])
     for cmd in ("product", "iso"):
         same.append([cmd, "--ideal", ideal["fig3"], "--ideal", ideal["b2"]])
         same.append([cmd, "--ideal", ideal["powers"], "--ideal", ideal["chain"]])
@@ -83,6 +92,15 @@ def commands(fx: Path) -> tuple:
         same.extend(["audit", "--theorem", t, "--seed", s] for s in ("1", "2", "9"))
     same.append(["audit", "--theorem", "modular", "--count", "200", "--seed", "7",
                  "--n", "4..9", "--k", "2..4", "--m", "3..6"])
+    # spaces over the exhaustive threshold, so these take the sampled path
+    same.append(["audit", "--theorem", "graph-complemented", "--seed", "3",
+                 "--n", "6..9", "--m", "5..10"])
+    same.append(["audit", "--theorem", "relatively-complemented", "--seed", "5",
+                 "--n", "5..8", "--m", "4..9"])
+    same.append(["audit", "--theorem", "hypergraph-complemented", "--seed", "4",
+                 "--n", "6..8", "--k", "2..4", "--m", "3..6"])
+    # argparse's error lists THEOREMS
+    same.append(["audit", "--theorem", "bogus"])
 
     malformed = []
     for name, text in MALFORMED_HYPERGRAPHS.items():

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
-from operator import le
+from itertools import product as iproduct
 from pathlib import Path
 
 from . import conditions, kernels, properties
@@ -32,19 +32,8 @@ from .monomials import (
     Hypergraph,
     MonomialIdeal,
     edge_ideal,
-    monomial_str,
+    insert_minimal,
     polarize,
-)
-
-THEOREMS = (
-    "boolean",
-    "modular",
-    "graph-complemented",
-    "hypergraph-complemented",
-    "relatively-complemented",
-    "product-complemented",
-    "polarization-iso",
-    "birkhoff-crosscheck",
 )
 
 # hypergraph theorem -> (its condition's name in `conditions`, the name in
@@ -58,6 +47,12 @@ PREDICTIONS = {
     "hypergraph-complemented": ("blocking_triplet_check", "complemented", False),
     "relatively-complemented": ("induced_p4_check", "relatively-complemented", False),
 }
+
+# the hypergraph theorems whose streams hold connected graphs only, and the
+# theorems audited over seeded monomial-ideal streams
+GRAPH_THEOREMS = ("graph-complemented", "relatively-complemented")
+IDEAL_THEOREMS = ("polarization-iso", "birkhoff-crosscheck")
+THEOREMS = (*PREDICTIONS, "product-complemented", *IDEAL_THEOREMS)
 
 EXHAUSTIVE_THRESHOLD = 20000
 _REDRAW_LIMIT = 200
@@ -127,15 +122,7 @@ class AuditReport:
     lattice_witness: dict | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "instance": self.instance,
-            "predicted": self.predicted,
-            "actual": self.actual,
-            "agree": self.agree,
-            "prediction_evidence": self.prediction_evidence,
-            "lattice_witness": self.lattice_witness,
-        }
+        return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -171,11 +158,8 @@ def random_monomial_ideal(cfg: GeneratorConfig, rng: SplitMix64 | None = None) -
 
     The first round draws m monomials; each later round, while fewer than
     m survive, draws m minus the survivors, up to _REDRAW_LIMIT rounds.
-    Each draw is inserted into the antichain held so far: it is skipped if
-    a survivor divides it; otherwise the survivors it divides are dropped
-    and it is appended. The survivors are an antichain processed first and
-    in order, so after every round they equal, in value and order,
-    minimalize of everything drawn so far.
+    Each draw goes through insert_minimal, as in minimalize, so after every
+    round the survivors equal minimalize of everything drawn so far.
     """
     rng = rng if rng is not None else SplitMix64(cfg.seed)
     n = rng.in_range(*cfg.n_range)
@@ -188,10 +172,7 @@ def random_monomial_ideal(cfg: GeneratorConfig, rng: SplitMix64 | None = None) -
                 mono = tuple(rng.draws(0, cfg.max_exponent, n))
                 if any(mono):
                     break
-            # all(map(le, h, g)) is "h divides g"; every draw has n exponents
-            if not any(all(map(le, h, mono)) for h in gens):
-                gens[:] = [h for h in gens if not all(map(le, mono, h))]
-                gens.append(mono)
+            insert_minimal(gens, mono)
 
     top_up()
     for _ in range(_REDRAW_LIMIT):
@@ -322,29 +303,14 @@ def small_lattice_pool() -> list:
     ]
 
 
-def _hypergraph_space_size(cfg: GeneratorConfig, graph_only: bool) -> int:
-    total = 0
+def _cells(cfg: GeneratorConfig, graph_only: bool):
+    """The (n, k, m) cells of a hypergraph stream, in enumeration order."""
     for n in range(cfg.n_range[0], cfg.n_range[1] + 1):
         ks = (2,) if graph_only else range(cfg.k_range[0], cfg.k_range[1] + 1)
         for k in ks:
-            if k > n:
-                continue
-            pool = math.comb(n, k)
-            for m in range(cfg.m_range[0], cfg.m_range[1] + 1):
-                total += math.comb(pool, m)
-    return total
-
-
-def _enumerate_hypergraphs(cfg: GeneratorConfig, graph_only: bool):
-    for n in range(cfg.n_range[0], cfg.n_range[1] + 1):
-        ks = (2,) if graph_only else range(cfg.k_range[0], cfg.k_range[1] + 1)
-        for k in ks:
-            if k > n:
-                continue
-            pool = list(combinations(range(1, n + 1), k))
-            for m in range(cfg.m_range[0], cfg.m_range[1] + 1):
-                for edges in combinations(pool, m):
-                    yield Hypergraph.make(n, edges)
+            if k <= n:
+                for m in range(cfg.m_range[0], cfg.m_range[1] + 1):
+                    yield n, k, m
 
 
 def _check_sample_count(cfg: GeneratorConfig) -> None:
@@ -354,14 +320,9 @@ def _check_sample_count(cfg: GeneratorConfig) -> None:
 
 def _instances_for(theorem: str, cfg: GeneratorConfig, exhaustive: bool | None):
     """Yield the theorem's instances in a deterministic order."""
-    graph_only = theorem in ("graph-complemented", "relatively-complemented")
-    needs_connected = graph_only
-
+    graph_only = theorem in GRAPH_THEOREMS
     if theorem == "product-complemented":
-        pool = small_lattice_pool()
-        for left in pool:
-            for right in pool:
-                yield (left, right)
+        yield from iproduct(small_lattice_pool(), repeat=2)
         return
     # every other stream draws or enumerates m edges or generators, and an
     # ideal with none has no atoms to audit
@@ -369,9 +330,9 @@ def _instances_for(theorem: str, cfg: GeneratorConfig, exhaustive: bool | None):
         raise ValueError(f"audit needs m >= 1; got m range {cfg.m_range}")
     # the hypergraph streams other than the graph-only ones draw k-subsets,
     # and a 0-subset is an empty edge
-    if theorem in ("boolean", "modular", "hypergraph-complemented") and cfg.k_range[0] < 1:
+    if theorem in PREDICTIONS and not graph_only and cfg.k_range[0] < 1:
         raise ValueError(f"audit needs k >= 1; got k range {cfg.k_range}")
-    if theorem in ("polarization-iso", "birkhoff-crosscheck"):
+    if theorem in IDEAL_THEOREMS:
         # with no variable or no positive exponent every draw is the unit
         # monomial, which random_monomial_ideal redraws forever
         if cfg.max_exponent < 1 or cfg.n_range[0] < 1:
@@ -405,14 +366,15 @@ def _instances_for(theorem: str, cfg: GeneratorConfig, exhaustive: bool | None):
             emitted += 1
         return
 
-    space = _hypergraph_space_size(cfg, graph_only)
     if exhaustive is None:
+        space = sum(math.comb(math.comb(n, k), m) for n, k, m in _cells(cfg, graph_only))
         exhaustive = space <= EXHAUSTIVE_THRESHOLD
     if exhaustive:
-        for H in _enumerate_hypergraphs(cfg, graph_only):
-            if needs_connected and not H.is_connected():
-                continue
-            yield H
+        for n, k, m in _cells(cfg, graph_only):
+            for edges in combinations(combinations(range(1, n + 1), k), m):
+                H = Hypergraph.make(n, edges)
+                if not graph_only or H.is_connected():
+                    yield H
     else:
         _check_sample_count(cfg)
         rng = SplitMix64(cfg.seed)
@@ -425,7 +387,7 @@ def _instances_for(theorem: str, cfg: GeneratorConfig, exhaustive: bool | None):
             if attempts > limit:
                 raise ValueError("sampling retry budget exhausted")
             H = random_uniform_hypergraph(sample_cfg, rng)
-            if needs_connected and not H.is_connected():
+            if graph_only and not H.is_connected():
                 continue
             yield H
             emitted += 1

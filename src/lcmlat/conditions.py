@@ -23,12 +23,7 @@ class ConditionVerdict:
     status: str = "ok"
 
     def to_json_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "holds": self.holds,
-            "evidence": self.evidence,
-            "status": self.status,
-        }
+        return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
 
 def _require_graph(G: Hypergraph, name: str) -> None:

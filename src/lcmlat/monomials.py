@@ -10,12 +10,16 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import le
 
 Monomial = tuple  # tuple[int, ...], exponent vector
 
 MAX_EXPONENT = 1 << 16  # keeps polarization dimensions bounded
+# the largest ring dimension (ideal files) or vertex count (hypergraph files)
+# the file readers accept; checked before any per-variable list is built. It
+# admits every ring polarize writes from 16 variables at MAX_EXPONENT.
+MAX_RING_DIMENSION = 1 << 20
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$", re.ASCII)
 
@@ -112,6 +116,14 @@ def parse_monomial(text: str, n: int) -> Monomial:
     return m
 
 
+def insert_minimal(antichain: list, g: Monomial) -> None:
+    """Skip g if a member of antichain divides it; otherwise drop the members
+    g divides and append g. All have one length: divisibility is plain <=."""
+    if not any(all(map(le, h, g)) for h in antichain):
+        antichain[:] = [h for h in antichain if not all(map(le, g, h))]
+        antichain.append(g)
+
+
 def minimalize(gens) -> list:
     """Drop duplicates and divisibility-dominated generators, keeping order.
 
@@ -126,10 +138,7 @@ def minimalize(gens) -> list:
         validate_monomial(g, n)
     survivors = []
     for g in gens:
-        if any(divides(h, g) for h in survivors):
-            continue
-        survivors = [h for h in survivors if not divides(g, h)]
-        survivors.append(g)
+        insert_minimal(survivors, g)
     if survivors == [unit(n)]:
         raise ValueError("the unit generates the whole ring, not a proper ideal")
     return survivors
@@ -213,10 +222,12 @@ class Hypergraph:
         """Standard vertex connectivity; isolated vertices disconnect."""
         if self.vertex_count == 1:
             return True
-        adjacency = {v: set() for v in range(1, self.vertex_count + 1)}
+        adjacency = {}
         for e in self.edges:
             for a in e:
-                adjacency[a].update(e - {a})
+                adjacency.setdefault(a, set()).update(e - {a})
+        if len(adjacency) < self.vertex_count:  # a vertex in no edge
+            return False
         seen = {1}
         stack = [1]
         while stack:
@@ -256,14 +267,6 @@ class PolarizationMap:
     def target_dimension(self) -> int:
         return sum(self.slot_counts)
 
-    def slot_index(self, i: int, k: int) -> int:
-        """0-based polarized index of slot k (1-based) of variable i (1-based)."""
-        if not 1 <= i <= self.source_dimension:
-            raise ValueError(f"variable index {i} out of range")
-        if not 1 <= k <= self.slot_counts[i - 1]:
-            raise ValueError(f"slot {k} out of range for x{i}")
-        return sum(self.slot_counts[: i - 1]) + (k - 1)
-
     def variable_names(self) -> list:
         return [
             f"x{i}_{k}"
@@ -287,17 +290,15 @@ def polarize(I: MonomialIdeal):
 
     Returns the polarized (square-free) ideal together with the slot map.
     """
-    n = I.ring_dimension
-    slot_counts = tuple(
-        max(g[i] for g in I.generators) for i in range(n)
-    )
-    pmap = PolarizationMap(n, slot_counts)
+    slot_counts = tuple(map(max, zip(*I.generators)))
+    pmap = PolarizationMap(I.ring_dimension, slot_counts)
+    # slots of x_i start at starts[i]; exponent e sets the first e of them
+    starts = tuple(accumulate(slot_counts, initial=0))
     gens = []
     for g in I.generators:
-        exps = [0] * pmap.target_dimension
-        for i in range(1, n + 1):
-            for k in range(1, g[i - 1] + 1):
-                exps[pmap.slot_index(i, k)] = 1
+        exps = [0] * starts[-1]
+        for start, e in zip(starts, g):
+            exps[start : start + e] = [1] * e
         gens.append(tuple(exps))
     return MonomialIdeal(pmap.target_dimension, tuple(gens)), pmap
 
@@ -319,6 +320,8 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
     n = int(header[1])
     if n < 1:
         raise ValueError("ring dimension must be positive")
+    if n > MAX_RING_DIMENSION:
+        raise ValueError(f"ring dimension {n} exceeds the cap {MAX_RING_DIMENSION}")
     gens = [parse_monomial(line, n) for line in lines[1:]]
     if not gens:
         raise ValueError("ideal file lists no generators")
@@ -347,9 +350,14 @@ def parse_hypergraph_json(text: str) -> Hypergraph:
     # type() is int rejects bool, which isinstance(v, int) lets through
     if type(n) is not int:
         raise ValueError(f'hypergraph "n" must be an integer; got {n!r}')
+    if n > MAX_RING_DIMENSION:
+        raise ValueError(f"vertex count {n} exceeds the cap {MAX_RING_DIMENSION}")
     if not (isinstance(edges, list) and all(
             isinstance(e, list) and all(type(v) is int for v in e) for e in edges)):
         raise ValueError('hypergraph "edges" must be a list of lists of integer vertices')
+    for e in edges:
+        if len(set(e)) < len(e):
+            raise ValueError(f"edge {e} lists a vertex more than once")
     return Hypergraph.make(n, edges)
 
 

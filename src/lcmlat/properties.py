@@ -53,11 +53,7 @@ class PropertyVerdict:
     witness: dict | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "property": self.property,
-            "holds": self.holds,
-            "witness": self.witness,
-        }
+        return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
 
 def _labeled(L: FiniteLattice, idx: int) -> dict:

@@ -5,6 +5,7 @@ import pytest
 
 from lcmlat.audit import (
     _REDRAW_LIMIT,
+    THEOREMS,
     AuditReport,
     GeneratorConfig,
     SplitMix64,
@@ -174,6 +175,32 @@ class TestAuditBatch:
         _, reports = audit_batch(theorem, GeneratorConfig())
         blob = "\n".join(r.to_json_line() for r in reports).encode()
         assert hashlib.sha256(blob).hexdigest() == self.DIGESTS[theorem]
+
+    # the first 16 hex digits of the same sha256 for three sampled streams,
+    # the path a space over EXHAUSTIVE_THRESHOLD takes
+    SAMPLED = [
+        ("graph-complemented", dict(seed=3, n_range=(6, 9), m_range=(5, 10)),
+         "29670d7f0da9977a"),
+        ("relatively-complemented", dict(seed=5, n_range=(5, 8), m_range=(4, 9)),
+         "13e2fd9cba32c26e"),
+        ("hypergraph-complemented",
+         dict(seed=4, n_range=(6, 8), k_range=(2, 4), m_range=(3, 6)), "f2bdfd7287a7b50c"),
+    ]
+
+    @pytest.mark.parametrize("theorem, ranges, digest", SAMPLED)
+    def test_sampled_stream_is_pinned(self, theorem, ranges, digest):
+        _, reports = audit_batch(theorem, GeneratorConfig(count=100, **ranges))
+        assert len(reports) == 100
+        blob = "\n".join(r.to_json_line() for r in reports).encode()
+        assert hashlib.sha256(blob).hexdigest()[:16] == digest
+
+    def test_theorem_order(self):
+        # argparse's choices text and the unknown-theorem message print it
+        assert THEOREMS == (
+            "boolean", "modular", "graph-complemented", "hypergraph-complemented",
+            "relatively-complemented", "product-complemented", "polarization-iso",
+            "birkhoff-crosscheck",
+        )
 
     def test_birkhoff_sample(self):
         cfg = GeneratorConfig(seed=11, n_range=(2, 4), m_range=(1, 4), count=40)

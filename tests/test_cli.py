@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,10 +8,13 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lcmlat
 from lcmlat import cli, properties
 from lcmlat.cli import run_cli
+from lcmlat.monomials import MAX_RING_DIMENSION, monomial_str
 
 FIG3_IDEAL = "ring 6\nx1*x2*x3\nx2*x3*x4\nx4*x5*x6\n"
 TETRA_JSON = '{"n": 4, "edges": [[1,2,3],[1,2,4],[1,3,4],[2,3,4]]}'
@@ -190,6 +195,9 @@ MALFORMED_HYPERGRAPHS = {
     "boolean n": '{"n": true, "edges": [[1]]}',
     "boolean vertex": '{"n": 2, "edges": [[true, 2]]}',
     "deep nesting": '{"n": 3, "edges": ' + "[" * 5000 + "]" * 5000 + "}",
+    "repeated vertex": '{"n": 3, "edges": [[1, 1, 2], [2, 3]]}',
+    "vertex count over the cap": f'{{"n": {MAX_RING_DIMENSION + 1}, "edges": [[1, 2]]}}',
+    "vertex count 10^8": '{"n": 100000000, "edges": [[1, 2]]}',
 }
 MALFORMED_IDEALS = {
     "underscore in ring": "ring 1_0\nx1*x2\n",
@@ -197,6 +205,8 @@ MALFORMED_IDEALS = {
     "signed ring": "ring +3\nx1\n",
     "non-ASCII variable": "ring 2\nx\uff11*x2\n",
     "non-ASCII exponent": "ring 2\nx1^\uff12\n",
+    "ring over the cap": f"ring {MAX_RING_DIMENSION + 1}\nx1\n",
+    "ring 10^8": "ring 100000000\nx1*x2\n",
 }
 
 
@@ -225,6 +235,76 @@ class TestMalformedFiles:
         p = tmp_path / "i.ideal"
         p.write_text(MALFORMED_IDEALS[name], encoding="utf-8")
         self.assert_refused(capsys, str(p), command, "--ideal", str(p))
+
+
+# generated file contents for both formats: tiny well-formed files, files
+# built from bad tokens and header values over the cap, arbitrary text, and
+# every malformed file above
+OVER_CAP = st.sampled_from([MAX_RING_DIMENSION + 1, 10**8])
+FACTORS = st.sampled_from(["1", "x1", "x2", "x3^2", "x1^3", "x0", "x4", "x2^0", "x1^65537",
+                           "y1", "x\uff11", "x1^", "", "*", " x2 "])
+IDEAL_TEXTS = st.one_of(
+    st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=4,
+    ).map(lambda gens: f"ring {n}\n" + "".join(monomial_str(g) + "\n" for g in gens))),
+    st.builds(
+        lambda header, lines: "\n".join([header] + lines) + "\n",
+        st.one_of(st.integers(0, 4), OVER_CAP).map("ring {}".format)
+        | st.sampled_from(["ring", "ring x", "# only a comment", "ring 2 3"]),
+        st.lists(st.lists(FACTORS, min_size=1, max_size=3).map("*".join), max_size=4),
+    ),
+    st.sampled_from(sorted(MALFORMED_IDEALS.values())),
+    st.text(max_size=30),
+)
+VERTICES = st.integers(-1, 5) | st.booleans() | st.sampled_from(["1", 1.5, None, [1]])
+HYPERGRAPH_TEXTS = st.one_of(
+    st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(1, n), min_size=1, max_size=3), max_size=4,
+    ).map(lambda edges: json.dumps({"n": n, "edges": edges}))),
+    st.builds(
+        lambda n, edges: json.dumps({"n": n, "edges": edges}),
+        st.integers(-1, 5) | OVER_CAP | st.sampled_from([True, 2.0, "3", None]),
+        st.lists(st.lists(VERTICES, max_size=4), max_size=4) | st.sampled_from([{}, 3, None]),
+    ),
+    st.sampled_from(sorted(MALFORMED_HYPERGRAPHS.values())),
+    st.text(max_size=30),
+)
+
+
+def run_captured(argv):
+    """run_cli with stdout and stderr captured, for tests that take no capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFileFuzz:
+    """Any file contents end in exit 0 or 2; on 2, stderr is one JSON line."""
+
+    @staticmethod
+    def assert_contract(argv):
+        code, out, err = run_captured([str(a) for a in argv])
+        assert code in (0, 2), (argv, err)
+        if code == 2:
+            assert out == "" and err.endswith("\n") and err.count("\n") == 1
+            assert set(json.loads(err)) == {"error"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(ideal=IDEAL_TEXTS, other=IDEAL_TEXTS, hypergraph=HYPERGRAPH_TEXTS)
+    def test_generated_files(self, tmp_path_factory, ideal, other, hypergraph):
+        d = tmp_path_factory.mktemp("fuzz")
+        i, j, h = d / "i.ideal", d / "j.ideal", d / "h.json"
+        i.write_text(ideal, encoding="utf-8")
+        j.write_text(other, encoding="utf-8")
+        h.write_text(hypergraph, encoding="utf-8")
+        for command in ("build", "check"):
+            self.assert_contract([command, "--ideal", i])
+            self.assert_contract([command, "--hypergraph", h])
+        self.assert_contract(["conditions", "--hypergraph", h])
+        self.assert_contract(["polarize", "--ideal", i])
+        for command in ("product", "iso"):
+            self.assert_contract([command, "--ideal", i, "--ideal", j])
 
 
 class TestPolarize:

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lcmlat.monomials import (
+    MAX_EXPONENT,
+    MAX_RING_DIMENSION,
     DimensionMismatch,
     Hypergraph,
     MonomialIdeal,
@@ -150,6 +154,16 @@ class TestHypergraph:
         # isolated vertex disconnects
         assert not Hypergraph.make(3, [{1, 2}]).is_connected()
 
+    def test_uncovered_vertex_disconnects_without_per_vertex_cost(self):
+        H = Hypergraph.make(MAX_RING_DIMENSION, [{1, 2}, {2, 3}])
+        tracemalloc.start()
+        try:
+            assert not H.is_connected()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestPolarize:
     def test_worked_example(self):
@@ -181,6 +195,39 @@ class TestPolarize:
         I = MonomialIdeal.make(3, raw)
         Ip, pmap = polarize(I)
         assert [pmap.depolarize(g) for g in Ip.generators] == list(I.generators)
+
+    @staticmethod
+    def per_slot(I):
+        """Oracle: (slot counts, generators) with each slot's index looked up
+        one at a time, as the sum of the slot counts of the earlier variables."""
+        n = I.ring_dimension
+        slot_counts = tuple(max(g[i] for g in I.generators) for i in range(n))
+        gens = []
+        for g in I.generators:
+            exps = [0] * sum(slot_counts)
+            for i in range(1, n + 1):
+                for k in range(1, g[i - 1] + 1):
+                    exps[sum(slot_counts[: i - 1]) + k - 1] = 1
+            gens.append(tuple(exps))
+        return slot_counts, tuple(gens)
+
+    @given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=5))
+    def test_matches_per_slot_oracle(self, raw):
+        raw = [g for g in raw if any(g)]
+        if not raw:
+            return
+        I = MonomialIdeal.make(3, raw)
+        Ip, pmap = polarize(I)
+        assert (pmap.slot_counts, Ip.generators) == self.per_slot(I)
+
+    def test_matches_per_slot_oracle_at_exponent_cap(self):
+        # x1^cap*x2, x2^cap*x3, ..., x5^cap*x1: 5 * cap polarized variables
+        gens = [tuple(MAX_EXPONENT if j == i else int(j == (i + 1) % 5) for j in range(5))
+                for i in range(5)]
+        I = MonomialIdeal(5, tuple(gens))
+        Ip, pmap = polarize(I)
+        assert Ip.ring_dimension == 5 * MAX_EXPONENT
+        assert (pmap.slot_counts, Ip.generators) == self.per_slot(I)
 
 
 class TestIdealInvariants:
@@ -235,6 +282,33 @@ class TestParsing:
         H = parse_hypergraph_json('{"n": 4, "edges": [[1,2],[2,3,4]]}')
         assert H.vertex_count == 4
         assert H.sorted_edges() == [(1, 2), (2, 3, 4)]
+
+    def test_hypergraph_repeated_vertex_refused(self):
+        with pytest.raises(ValueError, match=r"edge \[1, 1, 2\] lists a vertex more than once"):
+            parse_hypergraph_json('{"n": 3, "edges": [[1, 1, 2], [2, 3]]}')
+
+    def test_ring_dimension_cap_is_admitted(self):
+        I = parse_ideal_text(f"ring {MAX_RING_DIMENSION}\nx{MAX_RING_DIMENSION}\n")
+        assert I.ring_dimension == MAX_RING_DIMENSION
+        assert I.generators[0][-1] == 1
+        H = parse_hypergraph_json(f'{{"n": {MAX_RING_DIMENSION}, "edges": [[1, 2]]}}')
+        assert H.vertex_count == MAX_RING_DIMENSION
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_ideal_text, f"ring {MAX_RING_DIMENSION + 1}\nx1\n", "ring dimension"),
+        (parse_hypergraph_json, f'{{"n": {MAX_RING_DIMENSION + 1}, "edges": [[1, 2]]}}',
+         "vertex count"),
+    ])
+    def test_over_the_cap_refused_before_allocation(self, parse, text, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{message} {MAX_RING_DIMENSION + 1} "
+                                                 f"exceeds the cap {MAX_RING_DIMENSION}$"):
+                parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_bad_ideal_header(self):
         with pytest.raises(ValueError):
