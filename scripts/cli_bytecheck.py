@@ -2,8 +2,9 @@
 
 Runs a fixed list of commands (build json and dot, check with every
 property, conditions, polarize, product, iso, a default audit of every
-theorem, the sampled ideal audits for seeds 1, 2 and 9, three sampled
-hypergraph audits, an unknown theorem, and polarize of a 5-variable ideal at
+theorem, the sampled ideal audits for seeds 1, 2 and 9, the bench's two
+seeded ideal audits at seed 41 (n from 1, so they draw one-variable
+ideals), three sampled hypergraph audits, an unknown theorem, and polarize of a 5-variable ideal at
 the exponent cap) against each tree's `src/` and compares stdout, stderr and
 exit code. Then it runs a list of malformed input files and prints both
 trees' exit code and stderr, since a refusal may change on purpose.
@@ -90,6 +91,11 @@ def commands(fx: Path) -> tuple:
     same.extend(["audit", "--theorem", t] for t in THEOREMS)
     for t in ("polarization-iso", "birkhoff-crosscheck"):
         same.extend(["audit", "--theorem", t, "--seed", s] for s in ("1", "2", "9"))
+    # the audit-stream bench's seeded streams
+    same.append(["audit", "--theorem", "polarization-iso", "--seed", "41",
+                 "--n", "1..4", "--m", "1..5", "--count", "200"])
+    same.append(["audit", "--theorem", "birkhoff-crosscheck", "--seed", "41",
+                 "--n", "1..5", "--m", "1..5", "--count", "480"])
     same.append(["audit", "--theorem", "modular", "--count", "200", "--seed", "7",
                  "--n", "4..9", "--k", "2..4", "--m", "3..6"])
     # spaces over the exhaustive threshold, so these take the sampled path

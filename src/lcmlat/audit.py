@@ -16,6 +16,8 @@ from itertools import combinations
 from itertools import product as iproduct
 from pathlib import Path
 
+import numpy as np
+
 from . import conditions, kernels, properties
 from .conditions import HYPOTHESIS_NOT_MET
 from .lattice import (
@@ -160,6 +162,13 @@ def random_monomial_ideal(cfg: GeneratorConfig, rng: SplitMix64 | None = None) -
     m survive, draws m minus the survivors, up to _REDRAW_LIMIT rounds.
     Each draw goes through insert_minimal, as in minimalize, so after every
     round the survivors equal minimalize of everything drawn so far.
+
+    Once the survivors are the n variables themselves and m > n, every
+    later draw is a multiple of one of them and is dropped, so the call can
+    only fail. The rounds left then just advance the stream: their m - n
+    monomials each are drawn in bulk, the all-zero ones drawn again as a
+    round would, and the same error is raised with rng.state where the
+    rounds would have left it.
     """
     rng = rng if rng is not None else SplitMix64(cfg.seed)
     n = rng.in_range(*cfg.n_range)
@@ -175,16 +184,20 @@ def random_monomial_ideal(cfg: GeneratorConfig, rng: SplitMix64 | None = None) -
             insert_minimal(gens, mono)
 
     top_up()
-    for _ in range(_REDRAW_LIMIT):
+    for rounds_done in range(_REDRAW_LIMIT):
         if len(gens) >= m:
+            return MonomialIdeal(n, tuple(gens))
+        if len(gens) == n and all(sum(g) == 1 for g in gens):
+            need = (_REDRAW_LIMIT - rounds_done) * (m - n)
+            while need:
+                values = rng.draws(0, cfg.max_exponent, n * need)
+                need = sum(not any(values[i:i + n]) for i in range(0, len(values), n))
             break
         top_up()
-    else:
-        raise ValueError(
-            f"could not reach {m} minimal generators in {n} variables "
-            f"within the retry budget"
-        )
-    return MonomialIdeal(n, tuple(gens))
+    raise ValueError(
+        f"could not reach {m} minimal generators in {n} variables "
+        f"within the retry budget"
+    )
 
 
 # --- instance descriptors ----------------------------------------------------
@@ -238,7 +251,17 @@ def audit_instance(theorem: str, instance) -> AuditReport:
         counts_match = (
             L.size == Lp.size and L.atom_count == Lp.atom_count
         )
-        iso = is_isomorphic(L.lattice, Lp.lattice)
+        # polarize keeps the total degree and the lexicographic order of
+        # every lcm of generators, and which generators divide it, so both
+        # lattices list their elements in one order under the same keys.
+        # _fill_tables reads only the keys and the generator count (the top
+        # key has every generator's bit), so equal keys give equal tables;
+        # on those is_isomorphic, trying candidates in ascending order,
+        # returns the identity. Report it without filling either table.
+        if np.array_equal(L.keys, Lp.keys):
+            iso = list(range(L.size))
+        else:
+            iso = is_isomorphic(L.lattice, Lp.lattice)
         actual = counts_match and iso is not None
         return _report(theorem, _describe_ideal(I), True, actual, None,
                        {"element_counts": [L.size, Lp.size],

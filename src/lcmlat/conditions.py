@@ -148,28 +148,29 @@ def induced_p4_check(G: Hypergraph) -> ConditionVerdict:
     """Some 4-vertex subset induces exactly a path of length three.
 
     Predicts relatively complemented exactly when this does NOT hold.
-    Evidence: the four vertices in path order.
+    Evidence: the four vertices in path order, for the first such subset
+    in `combinations` order. Each subset's six pairs are looked up in
+    adjacency sets, so the scan is O(n^4) whatever the edge count. Of the
+    graphs with three edges on four vertices only the path has exactly two
+    vertices of degree one: the claw has three and the triangle none.
     """
     _require_graph(G, "induced_p4_check")
-    edges = {frozenset(e) for e in G.edges}
+    adjacent = {v: set() for v in range(1, G.vertex_count + 1)}
+    for a, b in G.edges:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
     for quad in combinations(range(1, G.vertex_count + 1), 4):
-        induced = [e for e in edges if e <= set(quad)]
-        if len(induced) != 3:
+        a, b, c, d = quad
+        na, nb = adjacent[a], adjacent[b]
+        if (b in na) + (c in na) + (d in na) + (c in nb) + (d in nb) + (d in adjacent[c]) != 3:
             continue
-        degs = {v: sum(1 for e in induced if v in e) for v in quad}
-        ends = sorted(v for v, d in degs.items() if d == 1)
-        if len(ends) != 2 or sorted(degs.values()) != [1, 1, 2, 2]:
+        ends = [v for v in quad if len(adjacent[v].intersection(quad)) == 1]
+        if len(ends) != 2:
             continue
         # walk from the smaller endpoint to recover path order
         path = [ends[0]]
         while len(path) < 4:
-            (nxt,) = [
-                w
-                for e in induced
-                if path[-1] in e
-                for w in e - {path[-1]}
-                if w not in path
-            ]
+            (nxt,) = [w for w in quad if w in adjacent[path[-1]] and w not in path]
             path.append(nxt)
         return ConditionVerdict("induced-p4", True, {"path": path})
     return ConditionVerdict("induced-p4", False)

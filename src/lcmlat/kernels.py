@@ -25,8 +25,10 @@ only candidates that lattice theory says cannot yield a witness:
   smaller bottom, so only pairs with a ^ x < z* stay in play.
 
 Tables are int32 join/meet index tables plus a bool leq matrix, as built
-by lattice.FiniteLattice. Besides the searches' n x n keys and their sorted
-copy, temporaries larger than O(n) are built in blocks of about
+by lattice.FiniteLattice. The two searches take the lattice's
+_cancellation_keys when it has them, so a lattice that runs both builds
+its keys once. Besides those n x n keys and their sorted copy,
+temporaries larger than O(n) are built in blocks of about
 lattice.BLOCK_BYTES.
 """
 
@@ -218,9 +220,10 @@ def _fiber_pairs(keys, rows, limit):
         yield rows.take(i // n), col.take(i), col.take(j), key.take(i)
 
 
-def _least_witness(join, meet, hits):
+def _least_witness(join, meet, cancellation, hits):
     """Least (z, a, u, v, w) over the fiber pairs of every row a that hit.
 
+    cancellation is _cancellation_keys(join, meet), or None to build it.
     hits(keys, a, lo, hi, key) returns, as arrays (a, u, v, key), the pairs
     that head a witness; z and w are read off the key. Rows are scanned in
     groups, and a group only holds rows and pairs with a bottom below the
@@ -228,7 +231,9 @@ def _least_witness(join, meet, hits):
     has one is the least witness so far.
     """
     n = join.shape[0]
-    keys, low = _cancellation_keys(join, meet)
+    if cancellation is None:
+        cancellation = _cancellation_keys(join, meet)
+    keys, low = cancellation
     best = None
     bound = n  # a later row must beat the best bottom so far
     for rows in _row_groups((low < n).nonzero()[0], n):
@@ -248,7 +253,7 @@ def _least_witness(join, meet, hits):
     return best
 
 
-def pentagon_search(join, meet, leq):
+def pentagon_search(join, meet, leq, cancellation=None):
     """Lexicographically least pentagon (z, a, x, y, w), or None.
 
     Pentagon: x < y; a incomparable to both; a^x = a^y = z; avx = avy = w.
@@ -263,10 +268,10 @@ def pentagon_search(join, meet, leq):
         x, y = np.where(up, lo, hi), np.where(up, hi, lo)
         return a[hit], x[hit], y[hit], key[hit]
 
-    return _least_witness(join, meet, pentagons)
+    return _least_witness(join, meet, cancellation, pentagons)
 
 
-def diamond_search(join, meet, leq):
+def diamond_search(join, meet, leq, cancellation=None):
     """Lexicographically least diamond (z, a, b, c, w) with a < b < c, or None.
 
     Diamond: a, b, c pairwise incomparable, all pairwise meets = z, joins = w.
@@ -281,4 +286,4 @@ def diamond_search(join, meet, leq):
         hit[hit] = keys[b[hit], c[hit]] == key[hit]
         return a[hit], b[hit], c[hit], key[hit]
 
-    return _least_witness(join, meet, diamonds)
+    return _least_witness(join, meet, cancellation, diamonds)

@@ -9,17 +9,20 @@ build_lcm_lattice runs the join-closure on arrays: it adds one generator
 per round to an (N, nvars) exponent array and keys each element by the
 bitmask of the generators dividing it. The elements are then held once, as
 tuples in the canonical order of _element_sort_key. The leq/join/meet
-tables are filled from the keys, and the labels from the tuples, on the
-first read of LcmLattice.lattice: a caller that reads only the elements,
-the atoms or the ideal (is_boolean) never pays for the N x N tables. Every
-element is the lcm of a subset of the generators, so one table over the
-2^m generator subsets (the least element whose key contains each subset)
-turns join and meet into gathers, in row blocks of about BLOCK_BYTES each.
+tables are filled from the keys on the first read of LcmLattice.lattice: a
+caller that reads only the elements, the atoms or the ideal (is_boolean)
+never pays for the N x N tables. Every element is the lcm of a subset of
+the generators, so one table over the 2^m generator subsets (the least
+element whose key contains each subset) turns join and meet into gathers,
+in row blocks of about BLOCK_BYTES each. The labels are rendered from the
+tuples later still, on the first read of FiniteLattice.labels: most
+verdicts read none.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,6 +49,8 @@ DEFAULT_MAX_PRODUCT = 6400
 # _fill_tables indexes an int32 table by the divisor-bitmask key, 2^m
 # entries for m generators: m = 24 keeps it at 4 * 2^24 bytes = 64 MiB
 MAX_KEY_BITS = 24
+# _KEY_BITS[j] is the key bit of generator j
+_KEY_BITS = np.left_shift(np.uint64(1), np.arange(MAX_KEY_BITS, dtype=np.uint64))
 # rough bound on the bytes of each blocked temporary in build_lcm_lattice
 BLOCK_BYTES = 1 << 20
 
@@ -56,20 +61,25 @@ class SizeLimitError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class FiniteLattice:
-    """A finite bounded lattice given by its leq / join / meet tables."""
+    """A finite bounded lattice given by its leq / join / meet tables.
+
+    `names` gives the element labels: a tuple, a function returning one
+    (called on the first read of `labels` only), or () for the indices.
+    """
 
     leq: np.ndarray         # bool (n, n)
     join_table: np.ndarray  # int32 (n, n)
     meet_table: np.ndarray  # int32 (n, n)
-    labels: tuple = ()
+    names: tuple | Callable[[], tuple] = ()
 
     def __post_init__(self):
-        if not self.labels:
-            object.__setattr__(
-                self, "labels", tuple(str(i) for i in range(self.size))
-            )
         for arr in (self.leq, self.join_table, self.meet_table):
             arr.setflags(write=False)
+
+    @cached_property
+    def labels(self) -> tuple:
+        names = self.names() if callable(self.names) else self.names
+        return names or tuple(str(i) for i in range(self.size))
 
     @property
     def size(self) -> int:
@@ -103,16 +113,25 @@ class FiniteLattice:
     @cached_property
     def pentagon(self):
         """kernels.pentagon_search on the tables, run on the first read only."""
-        from . import kernels  # kernels imports this module
-
-        return kernels.pentagon_search(self.join_table, self.meet_table, self.leq)
+        return self._search("pentagon_search", "diamond")
 
     @cached_property
     def diamond(self):
         """kernels.diamond_search on the tables, run on the first read only."""
-        from . import kernels
+        return self._search("diamond_search", "pentagon")
 
-        return kernels.diamond_search(self.join_table, self.meet_table, self.leq)
+    def _search(self, name: str, other: str):
+        """kernels.<name> on the tables and their cancellation keys. The
+        first of the two searches builds the keys and holds them for the
+        other, which drops them: nothing else reads the n x n keys."""
+        from . import kernels  # kernels imports this module
+
+        if other in self.__dict__:
+            keys = self.__dict__.pop("_cancellation_keys")
+        else:
+            keys = self.__dict__["_cancellation_keys"] = kernels._cancellation_keys(
+                self.join_table, self.meet_table)
+        return getattr(kernels, name)(self.join_table, self.meet_table, self.leq, keys)
 
     @classmethod
     def from_leq(cls, leq, labels=()) -> "FiniteLattice":
@@ -166,9 +185,10 @@ class FiniteLattice:
 class LcmLattice:
     """The lcm-lattice of a monomial ideal, keeping the monomial behind each element.
 
-    `lattice` (the leq/join/meet tables and the labels) is filled from
-    `elements` and `keys` on its first read and cached; later reads return
-    the same FiniteLattice.
+    `lattice` (the leq/join/meet tables) is filled from `elements` and
+    `keys` on its first read and cached; later reads return the same
+    FiniteLattice, which renders its labels from `elements` when they are
+    first read.
     """
 
     ideal: MonomialIdeal
@@ -231,9 +251,9 @@ def build_lcm_lattice(
     deduplication, so a lattice over the cap is refused before any N x N
     table exists.
 
-    The tables and labels are not built here: the returned LcmLattice fills
-    them on the first read of its `lattice` (see _fill_tables), after the
-    cap check has passed.
+    The tables are not built here: the returned LcmLattice fills them on
+    the first read of its `lattice` (see _fill_tables), after the cap check
+    has passed.
     """
     m = len(I.generators)
     if m > max_generators:
@@ -247,8 +267,7 @@ def build_lcm_lattice(
             f"holds at most {MAX_KEY_BITS}"
         )
     gens = np.array(I.generators, dtype=np.int64)
-    # bits[j] is the key bit of generator j
-    bits = np.left_shift(np.uint64(1), np.arange(m, dtype=np.uint64))
+    bits = _KEY_BITS[:m]
     exps = np.zeros((1, I.ring_dimension), dtype=np.int64)
     for k, g in enumerate(gens, 1):
         exps = np.concatenate((exps, np.maximum(exps, g)))
@@ -260,18 +279,22 @@ def build_lcm_lattice(
                     f"lattice exceeds the element cap {max_elements}"
                 )
 
+    # (degree, row) is _element_sort_key, and the rows are distinct
     rows = exps.tolist()
-    order = sorted(range(len(rows)), key=lambda i: _element_sort_key(rows[i]))
-    keys = keys[order]
-    keys.setflags(write=False)
-    elements = tuple(tuple(rows[i]) for i in order)
+    ordered = sorted(zip(map(sum, rows), rows, keys.tolist()))
+    elements = tuple(tuple(row) for _, row, _ in ordered)
+    keys = [key for _, _, key in ordered]
+    index = {key: i for i, key in enumerate(keys)}
     # a minimal generator's key is its own bit
-    atom_indices = tuple(np.nonzero(keys == bits[:, None])[1].tolist())
+    atom_indices = tuple(index[1 << j] for j in range(m))
+    keys = np.array(keys, dtype=np.uint64)
+    keys.setflags(write=False)
     return LcmLattice(I, elements, atom_indices, keys)
 
 
 def _fill_tables(elements: tuple, keys: np.ndarray, m: int) -> FiniteLattice:
-    """The leq/join/meet tables and labels of `elements` keyed by `keys`.
+    """The leq/join/meet tables of `elements` keyed by `keys`; the labels
+    are rendered from `elements` on their first read.
 
     least[s] is the first element, in index order, whose key contains the
     m-bit mask s: every entry starts at N, each element is scattered to its
@@ -302,7 +325,7 @@ def _fill_tables(elements: tuple, keys: np.ndarray, m: int) -> FiniteLattice:
         join[blk] = least[ka | kb]
         meet[blk] = least[ka & kb]
 
-    return FiniteLattice(leq, join, meet, tuple(map(monomial_str, elements)))
+    return FiniteLattice(leq, join, meet, lambda: tuple(map(monomial_str, elements)))
 
 
 def enumerate_subset_lcms(I: MonomialIdeal):

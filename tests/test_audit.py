@@ -1,21 +1,26 @@
 import hashlib
 import json
+import math
 
 import pytest
 
+from lcmlat import audit
 from lcmlat.audit import (
     _REDRAW_LIMIT,
     THEOREMS,
     AuditReport,
     GeneratorConfig,
     SplitMix64,
+    _describe_ideal,
+    _instances_for,
     audit_batch,
     audit_instance,
     random_monomial_ideal,
     random_uniform_hypergraph,
     small_lattice_pool,
 )
-from lcmlat.monomials import Hypergraph, MonomialIdeal, minimalize
+from lcmlat.lattice import build_lcm_lattice, is_isomorphic
+from lcmlat.monomials import Hypergraph, MonomialIdeal, minimalize, polarize
 
 
 class TestPrng:
@@ -117,10 +122,114 @@ class TestSamplerOracle:
             errors += got[1] is not None
         assert errors > 0
 
+    # the seeded streams of the bench and the acceptance tests, as groups of
+    # (n range, m range, ideals kept, draws made), each group drawn until
+    # either count is reached: the polarization-iso stream (n 1..4, 200
+    # ideals), the birkhoff-crosscheck stream (n 1..5, 480 ideals), both
+    # with m 1..5, and random-ideals' 16 draws for each m of 8..12 in n 4..8
+    STREAMS = {
+        "polarization-iso": [((1, 4), (1, 5), 200, math.inf)],
+        "birkhoff-crosscheck": [((1, 5), (1, 5), 480, math.inf)],
+        "random-ideals": [((4, 8), (m, m), math.inf, 16) for m in range(8, 13)],
+    }
+
+    @pytest.mark.parametrize("stream", sorted(STREAMS))
+    @pytest.mark.parametrize("seed", [41, 2024, 1905])
+    def test_bench_streams(self, seed, stream):
+        new, old = SplitMix64(seed), SplitMix64(seed)
+        # every call's (count, values): the first draws n, and a round
+        # draws one monomial (n values) per call, so only the all-variables
+        # shortcut draws more than n values in one call
+        calls = []
+        draws = new.draws
+
+        def spy(lo, hi, count):
+            calls.append((count, draws(lo, hi, count)))
+            return calls[-1][1]
+
+        new.draws = spy
+        errors = shortcuts = 0
+        for n_range, m_range, ideals, tries in self.STREAMS[stream]:
+            cfg = GeneratorConfig(seed=seed, n_range=n_range, m_range=m_range,
+                                  max_exponent=3)
+            kept = tried = 0
+            while kept < ideals and tried < tries:
+                tried += 1
+                del calls[:]
+                got = _outcome(random_monomial_ideal, cfg, new)
+                assert got == _outcome(_minimalize_per_round_ideal, cfg, old)
+                kept += got[1] is None
+                errors += got[1] is not None
+                n = calls[0][1][0]
+                shortcuts += any(count > n for count, _ in calls)
+        assert errors > 0 and shortcuts > 0
+
     def test_draws_match_in_range(self):
         a, b = SplitMix64(17), SplitMix64(17)
         assert a.draws(3, 9, 50) == [b.in_range(3, 9) for _ in range(50)]
         assert a.state == b.state
+
+
+def _polarization_report_by_search(I):
+    """Oracle: the polarization-iso report with is_isomorphic's mapping."""
+    L, Lp = build_lcm_lattice(I), build_lcm_lattice(polarize(I)[0])
+    iso = is_isomorphic(L.lattice, Lp.lattice)
+    actual = L.size == Lp.size and L.atom_count == Lp.atom_count and iso is not None
+    return AuditReport(
+        "polarization-iso", _describe_ideal(I), True, actual, actual, None,
+        {"element_counts": [L.size, Lp.size], "atom_counts": [L.atom_count, Lp.atom_count],
+         "isomorphism": iso},
+    )
+
+
+class TestPolarizationKeys:
+    @staticmethod
+    def searches(monkeypatch):
+        """The is_isomorphic calls that audit_instance makes, as a list."""
+        calls = []
+        monkeypatch.setattr(audit, "is_isomorphic",
+                            lambda L1, L2: calls.append(1) or is_isomorphic(L1, L2))
+        return calls
+
+    # the polarization-iso streams of the bench and the acceptance tests (n
+    # 1..4, m 1..5, 200 ideals) and the CLI's default ones (n 2..5, m 1..4,
+    # 100 ideals) for the seeds that the CLI byte check runs
+    STREAMS = ([(seed, (1, 4), (1, 5), 200) for seed in (41, 2024, 1905)]
+               + [(seed, (2, 5), (1, 4), 100) for seed in (0, 1, 2, 9)])
+
+    @pytest.mark.parametrize("seed, n_range, m_range, count", STREAMS)
+    def test_key_match_equals_is_isomorphic(self, seed, n_range, m_range, count, monkeypatch):
+        cfg = GeneratorConfig(seed=seed, n_range=n_range, m_range=m_range, count=count)
+        ideals = list(_instances_for("polarization-iso", cfg, None))
+        calls = self.searches(monkeypatch)
+        for I in ideals:
+            got = audit_instance("polarization-iso", I).to_json_line()
+            assert got == _polarization_report_by_search(I).to_json_line()
+        assert not calls
+
+    def test_keys_that_differ_fall_back_to_is_isomorphic(self, monkeypatch):
+        # x1^2, x2 and a stand-in polarization x1, x2^2: both lattices are
+        # the Boolean B2, but the first lists x2 (key 0b10) before x1^2
+        I = MonomialIdeal(2, ((2, 0), (0, 1)))
+        J = MonomialIdeal(2, ((1, 0), (0, 2)))
+        monkeypatch.setattr(audit, "polarize", lambda _: (J, None))
+        calls = self.searches(monkeypatch)
+        L, Lp = build_lcm_lattice(I), build_lcm_lattice(J)
+        assert L.keys.tolist() == [0, 2, 1, 3] and Lp.keys.tolist() == [0, 1, 2, 3]
+        report = audit_instance("polarization-iso", I)
+        assert len(calls) == 1
+        assert report.actual and report.agree
+        assert report.lattice_witness["isomorphism"] == is_isomorphic(L.lattice, Lp.lattice)
+
+    def test_fallback_reports_a_failed_search(self, monkeypatch):
+        # a one-generator stand-in: two elements against four, no isomorphism
+        monkeypatch.setattr(audit, "polarize",
+                            lambda _: (MonomialIdeal(2, ((1, 1),)), None))
+        calls = self.searches(monkeypatch)
+        report = audit_instance("polarization-iso", MonomialIdeal(2, ((2, 0), (0, 1))))
+        assert len(calls) == 1
+        assert not report.actual and not report.agree
+        assert report.lattice_witness["isomorphism"] is None
 
 
 class TestAuditInstance:

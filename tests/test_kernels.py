@@ -190,6 +190,25 @@ def test_search_parity_in_small_pair_chunks(lattice, monkeypatch):
     assert kernels.diamond_search(*tables) == _diamond_search_loops(*tables)
 
 
+@pytest.mark.parametrize("lattice", [L for _, L in _SAMPLES], ids=[i for i, _ in _SAMPLES])
+def test_lattice_searches_share_one_key_table(lattice, monkeypatch):
+    """A lattice's pentagon and diamond searches build the cancellation keys
+    once, in whichever runs first, and the second drops them."""
+    tables = (lattice.join_table, lattice.meet_table, lattice.leq)
+    expected = {"pentagon": kernels.pentagon_search(*tables),
+                "diamond": kernels.diamond_search(*tables)}
+    built = []
+    keys = kernels._cancellation_keys
+    monkeypatch.setattr(kernels, "_cancellation_keys",
+                        lambda join, meet: built.append(1) or keys(join, meet))
+    for order in (("pentagon", "diamond"), ("diamond", "pentagon")):
+        fresh = FiniteLattice(lattice.leq, lattice.join_table, lattice.meet_table)
+        for name in order:
+            assert getattr(fresh, name) == expected[name]
+        assert "_cancellation_keys" not in vars(fresh)
+    assert len(built) == 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_parity_on_random_ideals(data):

@@ -53,6 +53,17 @@ class TestBuild:
         )
         assert sorted(fig3_lattice.atom_indices) == [1, 2, 3]
 
+    def test_labels_render_on_first_read(self, fig3_hypergraph, monkeypatch):
+        rendered = []
+        monkeypatch.setattr(lattice, "monomial_str",
+                            lambda m: rendered.append(m) or monomial_str(m))
+        L = build_lcm_lattice(edge_ideal(fig3_hypergraph))
+        lat = L.lattice
+        assert not rendered
+        assert lat.labels == tuple(map(monomial_str, L.elements))
+        assert lat.labels is lat.labels
+        assert rendered == list(L.elements)
+
     def test_tetrahedron_elements(self, tetra_lattice):
         assert tetra_lattice.size == 6
         assert tetra_lattice.elements[-1] == (1, 1, 1, 1)
