@@ -1,7 +1,8 @@
 """Compare the lcmlat CLI of two source trees byte for byte.
 
 Runs a fixed list of commands (build json and dot, check with every
-property, conditions, polarize, product, iso, a default audit of every
+property, conditions, polarize, build and check of two 16-generator
+ideals with few elements, product, iso, a default audit of every
 theorem, the sampled ideal audits for seeds 1, 2 and 9, the bench's two
 seeded ideal audits at seed 41 (n from 1, so they draw one-variable
 ideals), three sampled hypergraph audits, an unknown theorem, and polarize of a 5-variable ideal at
@@ -37,6 +38,15 @@ IDEALS = {
     "powers": "ring 3\nx1^2*x2\nx2^3\nx1*x3^2\n",
     "b2": "ring 2\nx1\nx2\n",
     "chain": "ring 1\nx1\n",
+}
+# 16 generators each, |L| far below 2^16: the staircase x1^i*x2^(15-i)
+# (137 elements) and a seeded random ideal in 4 variables (247 elements)
+SIXTEEN_GENERATORS = {
+    "staircase16": "ring 2\n" + "".join(f"x1^{i}*x2^{15 - i}\n" for i in range(16)),
+    "random16": "ring 4\n" + "\n".join([
+        "x1^2*x3*x4", "x1*x2^2*x3*x4", "x1^4*x2*x3^2", "x2^2*x3^4", "x2^2*x3*x4^2",
+        "x2^3*x3^3", "x2^3*x3*x4", "x1^4*x4", "x1*x2*x4^3", "x4^4", "x1*x2^2*x4^2",
+        "x2^4", "x1*x2*x3*x4^2", "x3^2*x4^2", "x1*x3^4*x4", "x2^2*x3^2*x4"]) + "\n",
 }
 # x1^65536*x2, x2^65536*x3, ..., x5^65536*x1: 327,680 polarized variables
 CAP5_IDEAL = "ring 5\n" + "".join(f"x{i}^65536*x{i % 5 + 1}\n" for i in range(1, 6))
@@ -82,6 +92,11 @@ def commands(fx: Path) -> tuple:
         same.append(["build", "--ideal", path])
         same.append(["check", "--ideal", path])
         same.append(["polarize", "--ideal", path])
+    for name, text in SIXTEEN_GENERATORS.items():
+        path = fx / f"{name}.ideal"
+        path.write_text(text)
+        same.append(["build", "--ideal", path])
+        same.append(["check", "--ideal", path, "--property", "all"])
     cap5 = fx / "cap5.ideal"
     cap5.write_text(CAP5_IDEAL)
     same.append(["polarize", "--ideal", cap5])

@@ -71,6 +71,7 @@ class SplitMix64:
 
     MASK = (1 << 64) - 1
     GAMMA = 0x9E3779B97F4A7C15
+    MIX1, MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
     def __init__(self, seed: int):
         self.state = seed & self.MASK
@@ -92,15 +93,29 @@ class SplitMix64:
         if lo > hi:
             raise ValueError(f"empty range {lo}..{hi}")
         span = hi - lo + 1
-        mask, state = self.MASK, self.state
+        mask, state, mix1, mix2 = self.MASK, self.state, self.MIX1, self.MIX2
         out = []
         for _ in range(count):
             state = (state + self.GAMMA) & mask
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            z = ((state ^ (state >> 30)) * mix1) & mask
+            z = ((z ^ (z >> 27)) * mix2) & mask
             out.append(lo + (z ^ (z >> 31)) % span)
         self.state = state
         return out
+
+    def below_array(self, bound: int, count: int) -> np.ndarray:
+        """draws(0, bound - 1, count) as a uint64 array, values and state
+        alike, in numpy's uint64 arithmetic, which wraps mod 2^64 as the
+        masks of draws do. The bound must fit in 64 bits."""
+        if not 0 < bound <= self.MASK:
+            raise ValueError(f"bound must be in 1..2^64 - 1; got {bound}")
+        steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(self.GAMMA)
+        state = np.uint64(self.state) + steps
+        z = (state ^ (state >> np.uint64(30))) * np.uint64(self.MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(self.MIX2)
+        if count:
+            self.state = int(state[-1])
+        return (z ^ (z >> np.uint64(31))) % np.uint64(bound)
 
 
 @dataclass(frozen=True)
@@ -166,9 +181,9 @@ def random_monomial_ideal(cfg: GeneratorConfig, rng: SplitMix64 | None = None) -
     Once the survivors are the n variables themselves and m > n, every
     later draw is a multiple of one of them and is dropped, so the call can
     only fail. The rounds left then just advance the stream: their m - n
-    monomials each are drawn in bulk, the all-zero ones drawn again as a
-    round would, and the same error is raised with rng.state where the
-    rounds would have left it.
+    monomials each are drawn in bulk, in numpy (SplitMix64.below_array), the
+    all-zero ones drawn again as a round would, and the same error is
+    raised with rng.state where the rounds would have left it.
     """
     rng = rng if rng is not None else SplitMix64(cfg.seed)
     n = rng.in_range(*cfg.n_range)
@@ -190,8 +205,8 @@ def random_monomial_ideal(cfg: GeneratorConfig, rng: SplitMix64 | None = None) -
         if len(gens) == n and all(sum(g) == 1 for g in gens):
             need = (_REDRAW_LIMIT - rounds_done) * (m - n)
             while need:
-                values = rng.draws(0, cfg.max_exponent, n * need)
-                need = sum(not any(values[i:i + n]) for i in range(0, len(values), n))
+                values = rng.below_array(cfg.max_exponent + 1, n * need)
+                need = int((values.reshape(-1, n) == 0).all(axis=1).sum())
             break
         top_up()
     raise ValueError(

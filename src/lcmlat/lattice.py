@@ -5,18 +5,20 @@ as numpy arrays; everything downstream (property checks, audits) works off
 those tables. An LcmLattice additionally remembers its monomial elements
 and which indices are the ideal's generators (the atoms).
 
-build_lcm_lattice runs the join-closure on arrays: it adds one generator
-per round to an (N, nvars) exponent array and keys each element by the
-bitmask of the generators dividing it. The elements are then held once, as
-tuples in the canonical order of _element_sort_key. The leq/join/meet
-tables are filled from the keys on the first read of LcmLattice.lattice: a
-caller that reads only the elements, the atoms or the ideal (is_boolean)
-never pays for the N x N tables. Every element is the lcm of a subset of
-the generators, so one table over the 2^m generator subsets (the least
+build_lcm_lattice runs the join-closure on arrays: each round joins one
+generator to every distinct exponent row so far and keeps only the rows
+not seen before, so it handles O(m * N) candidate rows for N elements,
+never the 2^m generator subsets. It then keys each element by the bitmask
+of the generators dividing it, and holds the elements once, as tuples in
+the canonical order of _element_sort_key. The leq/join/meet tables are
+filled from the keys on the first read of LcmLattice.lattice: a caller
+that reads only the elements, the atoms or the ideal (is_boolean) never
+pays for the N x N tables. Every element is the lcm of a subset of the
+generators, so one table over the 2^m generator subsets (the least
 element whose key contains each subset) turns join and meet into gathers,
-in row blocks of about BLOCK_BYTES each. The labels are rendered from the
-tuples later still, on the first read of FiniteLattice.labels: most
-verdicts read none.
+in row blocks of about BLOCK_BYTES each. Each label is rendered from its
+tuple later still, when it is read: most verdicts read none, and a
+witness reads only the few it names.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -51,7 +53,8 @@ DEFAULT_MAX_PRODUCT = 6400
 MAX_KEY_BITS = 24
 # _KEY_BITS[j] is the key bit of generator j
 _KEY_BITS = np.left_shift(np.uint64(1), np.arange(MAX_KEY_BITS, dtype=np.uint64))
-# rough bound on the bytes of each blocked temporary in build_lcm_lattice
+# rough bound on the bytes of each blocked temporary: the divisor keys, the
+# table fill and the kernels
 BLOCK_BYTES = 1 << 20
 
 
@@ -63,14 +66,15 @@ class SizeLimitError(ValueError):
 class FiniteLattice:
     """A finite bounded lattice given by its leq / join / meet tables.
 
-    `names` gives the element labels: a tuple, a function returning one
-    (called on the first read of `labels` only), or () for the indices.
+    `names` gives the element labels: a tuple, a function rendering the
+    label of one index (called only for the labels read), or () for the
+    indices.
     """
 
     leq: np.ndarray         # bool (n, n)
     join_table: np.ndarray  # int32 (n, n)
     meet_table: np.ndarray  # int32 (n, n)
-    names: tuple | Callable[[], tuple] = ()
+    names: tuple | Callable[[int], str] = ()
 
     def __post_init__(self):
         for arr in (self.leq, self.join_table, self.meet_table):
@@ -78,8 +82,16 @@ class FiniteLattice:
 
     @cached_property
     def labels(self) -> tuple:
-        names = self.names() if callable(self.names) else self.names
-        return names or tuple(str(i) for i in range(self.size))
+        if callable(self.names):
+            return tuple(map(self.names, range(self.size)))
+        return self.names or tuple(str(i) for i in range(self.size))
+
+    def label(self, i: int) -> str:
+        """The label of element i, rendered alone: a witness that names a
+        few elements does not render the others."""
+        if callable(self.names):
+            return self.names(i)
+        return self.names[i] if self.names else str(i)
 
     @property
     def size(self) -> int:
@@ -187,8 +199,8 @@ class LcmLattice:
 
     `lattice` (the leq/join/meet tables) is filled from `elements` and
     `keys` on its first read and cached; later reads return the same
-    FiniteLattice, which renders its labels from `elements` when they are
-    first read.
+    FiniteLattice, which renders each label from `elements` when it is
+    read.
     """
 
     ideal: MonomialIdeal
@@ -229,6 +241,29 @@ def _divisor_keys(exps: np.ndarray, gens: np.ndarray, bits: np.ndarray) -> np.nd
     return keys
 
 
+def _join_closure(gens: np.ndarray, max_elements: int) -> np.ndarray:
+    """The distinct lcms of the generator subsets, as exponent rows of the
+    dtype of gens (the unit first, then in the order first reached), or
+    SizeLimitError in the round where they pass max_elements.
+
+    One generator per round: S_k = S_{k-1} | max(S_{k-1}, g_k), from
+    {unit}. A row joins S_k only if its bytes are new, so each round
+    handles |S_{k-1}| candidate rows. The bytes of the rows are dropped on
+    return, so a wide ring holds them only while the closure runs.
+    """
+    width = gens.itemsize * gens.shape[1]  # bytes of one exponent row
+    # the distinct rows as bytes, in the order first seen
+    distinct = dict.fromkeys([bytes(width)])
+    exps = np.zeros((1, gens.shape[1]), dtype=gens.dtype)
+    for g in gens:
+        distinct.update(dict.fromkeys(
+            np.maximum(exps, g).view(f"V{width}").ravel().tolist()))
+        if len(distinct) > max_elements:
+            raise SizeLimitError(f"lattice exceeds the element cap {max_elements}")
+        exps = np.frombuffer(b"".join(distinct), dtype=gens.dtype).reshape(len(distinct), -1)
+    return exps
+
+
 def build_lcm_lattice(
     I: MonomialIdeal,
     max_generators: int = DEFAULT_MAX_GENERATORS,
@@ -240,16 +275,15 @@ def build_lcm_lattice(
     then by total degree and lexicographic exponents), the same as
     enumerate_subset_lcms, so indices are stable across runs.
 
-    The closure runs on an (N, nvars) int64 exponent array, one generator
-    per round: S_k = S_{k-1} | max(S_{k-1}, g_k), starting from {unit}.
-    Each element is keyed by the bitmask of the generators dividing it; the
-    key is injective because e = lcm{g : g | e}, whatever the ring
-    dimension or exponent size. An ideal of more than MAX_KEY_BITS
-    generators is refused before anything is allocated. Rows are
-    deduplicated by key after the last round and after any round that
-    leaves them over BLOCK_BYTES; the element cap is checked at each
-    deduplication, so a lattice over the cap is refused before any N x N
-    table exists.
+    The join-closure (_join_closure) adds one generator per round and
+    keeps only the exponent rows not seen before, so it handles at most
+    m * |L| candidate rows, never the 2^m generator subsets. It checks the
+    element cap in every round, so a lattice over the cap is refused in
+    the round its distinct rows pass it, before any N x N table exists. An
+    ideal of more than MAX_KEY_BITS generators is refused before anything
+    is allocated. Each element is then keyed by the bitmask of the
+    generators dividing it; the key is injective because e = lcm{g : g | e},
+    whatever the ring dimension or exponent size.
 
     The tables are not built here: the returned LcmLattice fills them on
     the first read of its `lattice` (see _fill_tables), after the cap check
@@ -266,18 +300,11 @@ def build_lcm_lattice(
             f"ideal has {m} generators; the subset table of the lattice fill "
             f"holds at most {MAX_KEY_BITS}"
         )
-    gens = np.array(I.generators, dtype=np.int64)
-    bits = _KEY_BITS[:m]
-    exps = np.zeros((1, I.ring_dimension), dtype=np.int64)
-    for k, g in enumerate(gens, 1):
-        exps = np.concatenate((exps, np.maximum(exps, g)))
-        if exps.nbytes > BLOCK_BYTES or k == m:
-            keys, first = np.unique(_divisor_keys(exps, gens, bits), return_index=True)
-            exps = exps[first]
-            if len(exps) > max_elements:
-                raise SizeLimitError(
-                    f"lattice exceeds the element cap {max_elements}"
-                )
+    # uint32 holds every exponent up to monomials.MAX_EXPONENT, in half the
+    # bytes of int64 for each row the closure copies and hashes
+    gens = np.array(I.generators, dtype=np.uint32)
+    exps = _join_closure(gens, max_elements)
+    keys = _divisor_keys(exps, gens, _KEY_BITS[:m])
 
     # (degree, row) is _element_sort_key, and the rows are distinct
     rows = exps.tolist()
@@ -293,8 +320,8 @@ def build_lcm_lattice(
 
 
 def _fill_tables(elements: tuple, keys: np.ndarray, m: int) -> FiniteLattice:
-    """The leq/join/meet tables of `elements` keyed by `keys`; the labels
-    are rendered from `elements` on their first read.
+    """The leq/join/meet tables of `elements` keyed by `keys`; each label
+    is rendered from `elements` when it is read.
 
     least[s] is the first element, in index order, whose key contains the
     m-bit mask s: every entry starts at N, each element is scattered to its
@@ -325,7 +352,9 @@ def _fill_tables(elements: tuple, keys: np.ndarray, m: int) -> FiniteLattice:
         join[blk] = least[ka | kb]
         meet[blk] = least[ka & kb]
 
-    return FiniteLattice(leq, join, meet, lambda: tuple(map(monomial_str, elements)))
+    # cached: a label can be long (one factor per variable of a wide ring),
+    # and witnesses may name one element several times
+    return FiniteLattice(leq, join, meet, cache(lambda i: monomial_str(elements[i])))
 
 
 def enumerate_subset_lcms(I: MonomialIdeal):
@@ -347,13 +376,14 @@ def interval(L: FiniteLattice, x: int, y: int):
     idx = np.nonzero(L.leq[x] & L.leq[:, y])[0]
     remap = np.full(L.size, -1, dtype=np.int32)
     remap[idx] = np.arange(len(idx), dtype=np.int32)
+    original = idx.tolist()
     sub = FiniteLattice(
         L.leq[np.ix_(idx, idx)].copy(),
         remap[L.join_table[np.ix_(idx, idx)]],
         remap[L.meet_table[np.ix_(idx, idx)]],
-        tuple(L.labels[i] for i in idx),
+        lambda k: L.label(original[k]),
     )
-    return sub, [int(i) for i in idx]
+    return sub, original
 
 
 def product(
@@ -439,7 +469,7 @@ def _strict_and_covers(L: FiniteLattice):
 def hasse_edges(L: FiniteLattice):
     """Cover pairs (a, b): a < b with nothing strictly between."""
     strict, between = _strict_and_covers(L)
-    return [(int(a), int(b)) for a, b in np.argwhere(strict & (between == 0))]
+    return list(map(tuple, np.argwhere(strict & (between == 0)).tolist()))
 
 
 def _refine_invariants(L: FiniteLattice):

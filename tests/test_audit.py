@@ -20,7 +20,7 @@ from lcmlat.audit import (
     small_lattice_pool,
 )
 from lcmlat.lattice import build_lcm_lattice, is_isomorphic
-from lcmlat.monomials import Hypergraph, MonomialIdeal, minimalize, polarize
+from lcmlat.monomials import MAX_EXPONENT, Hypergraph, MonomialIdeal, minimalize, polarize
 
 
 class TestPrng:
@@ -137,37 +137,54 @@ class TestSamplerOracle:
     @pytest.mark.parametrize("seed", [41, 2024, 1905])
     def test_bench_streams(self, seed, stream):
         new, old = SplitMix64(seed), SplitMix64(seed)
-        # every call's (count, values): the first draws n, and a round
-        # draws one monomial (n values) per call, so only the all-variables
-        # shortcut draws more than n values in one call
-        calls = []
-        draws = new.draws
+        # the count of each bulk draw: only the all-variables shortcut draws
+        # with below_array, a round draws one monomial per call of draws
+        bulk = []
+        below_array = new.below_array
 
-        def spy(lo, hi, count):
-            calls.append((count, draws(lo, hi, count)))
-            return calls[-1][1]
+        def spy(bound, count):
+            bulk.append(count)
+            return below_array(bound, count)
 
-        new.draws = spy
-        errors = shortcuts = 0
+        new.below_array = spy
+        errors = 0
         for n_range, m_range, ideals, tries in self.STREAMS[stream]:
             cfg = GeneratorConfig(seed=seed, n_range=n_range, m_range=m_range,
                                   max_exponent=3)
             kept = tried = 0
             while kept < ideals and tried < tries:
                 tried += 1
-                del calls[:]
                 got = _outcome(random_monomial_ideal, cfg, new)
                 assert got == _outcome(_minimalize_per_round_ideal, cfg, old)
                 kept += got[1] is None
                 errors += got[1] is not None
-                n = calls[0][1][0]
-                shortcuts += any(count > n for count, _ in calls)
-        assert errors > 0 and shortcuts > 0
+        assert errors > 0 and bulk
 
     def test_draws_match_in_range(self):
         a, b = SplitMix64(17), SplitMix64(17)
         assert a.draws(3, 9, 50) == [b.in_range(3, 9) for _ in range(50)]
         assert a.state == b.state
+
+    @pytest.mark.parametrize("seed", [0, 41, (1 << 63) + 5, (1 << 64) - 1])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_below_array_matches_draws(self, seed, n):
+        # the shortcut's bulk draws: values, all-zero n-groups and state
+        for max_exponent in (1, 3, MAX_EXPONENT):
+            for need in (1, 7, 600):
+                a, b = SplitMix64(seed + need), SplitMix64(seed + need)
+                scalar = a.draws(0, max_exponent, n * need)
+                bulk = b.below_array(max_exponent + 1, n * need)
+                assert bulk.tolist() == scalar
+                assert a.state == b.state
+                zero_groups = sum(not any(scalar[i:i + n]) for i in range(0, n * need, n))
+                assert (bulk.reshape(-1, n) == 0).all(axis=1).sum() == zero_groups
+
+    def test_below_array_bounds(self):
+        rng = SplitMix64(3)
+        assert rng.below_array((1 << 64) - 1, 4).tolist() == SplitMix64(3).draws(0, (1 << 64) - 2, 4)
+        for bound in (0, 1 << 64):
+            with pytest.raises(ValueError, match="bound must be in"):
+                rng.below_array(bound, 4)
 
 
 def _polarization_report_by_search(I):

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from itertools import combinations
 from unittest import mock
@@ -63,6 +64,18 @@ class TestBuild:
         assert lat.labels == tuple(map(monomial_str, L.elements))
         assert lat.labels is lat.labels
         assert rendered == list(L.elements)
+
+    def test_witnesses_render_only_the_labels_they_name(self, monkeypatch):
+        rendered = []
+        monkeypatch.setattr(lattice, "monomial_str",
+                            lambda m: rendered.append(m) or monomial_str(m))
+        L = build_lcm_lattice(MonomialIdeal.make(2, _staircase(17)), max_generators=17)
+        assert L.size == 154
+        verdicts = json.dumps([v.to_json_dict() for v in all_properties(L)])
+        named = {m for m in L.elements if f'"label": "{monomial_str(m)}"' in verdicts}
+        # the witnesses name 14 labels of 7 elements, each rendered once
+        assert len(named) == 7
+        assert sorted(rendered) == sorted(named)
 
     def test_tetrahedron_elements(self, tetra_lattice):
         assert tetra_lattice.size == 6
@@ -300,6 +313,11 @@ class TestIsomorphism:
         assert (ab is None) == (ba is None)
 
 
+def _staircase(g):
+    """x^i y^(g-1-i): g generators, 1 + g(g+1)/2 elements."""
+    return [(i, g - 1 - i) for i in range(g)]
+
+
 def antichain_ideal_strategy(n_max=3, m_max=8, e_max=3):
     # g followed by (e_max - g): every generator has total degree n * e_max,
     # so distinct ones form an antichain and none is lost to minimalization
@@ -312,6 +330,19 @@ def antichain_ideal_strategy(n_max=3, m_max=8, e_max=3):
             )
         )
     )
+
+
+def equal_degree_ideal_strategy():
+    # 12-16 distinct generators of one total degree in 2-4 variables, so
+    # none divides another and minimalization keeps them all
+    def ideal(n):
+        e = {2: 15, 3: 5, 4: 3}[n]
+        head = st.tuples(*[st.integers(0, e)] * (n - 1))
+        return st.lists(head, min_size=12, max_size=16, unique=True).map(
+            lambda heads: MonomialIdeal.make(n, [h + ((n - 1) * e - sum(h),) for h in heads])
+        )
+
+    return st.integers(2, 4).flatmap(ideal)
 
 
 def squarefree_edge_ideal_strategy(n_max=7, m_max=8):
@@ -409,9 +440,50 @@ class TestClosureOracle:
     @settings(max_examples=30, deadline=None)
     @given(st.one_of(antichain_ideal_strategy(), squarefree_edge_ideal_strategy()))
     def test_tiny_block_budget(self, I):
-        # many row blocks per table, and deduplication after every round
+        # many row blocks in the divisor keys and in each table
         with mock.patch.object(lattice, "BLOCK_BYTES", 64):
             self.check(I)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.one_of(st.just(MonomialIdeal.make(2, _staircase(16))), equal_degree_ideal_strategy()))
+    def test_many_generators_few_elements(self, I):
+        # 12-16 generators, |L| far below 2^m: the elements, the atoms and
+        # the order against the subset oracle
+        L = build_lcm_lattice(I)
+        expected = enumerate_subset_lcms(I)
+        assert L.size < 1 << (len(I.generators) - 2)
+        assert list(L.elements) == expected
+        assert L.atom_indices == tuple(expected.index(g) for g in I.generators)
+        exps = np.array(expected, dtype=np.int64)
+        divides = (exps[:, None, :] <= exps[None, :, :]).all(axis=2)
+        assert np.array_equal(L.lattice.leq, divides)
+
+    def test_closure_never_holds_the_generator_subsets(self):
+        # 24 generators, 301 elements: the 2^24 rows of a closure that keeps
+        # duplicates would take 256 MiB, and even deduplicating them once
+        # per BLOCK_BYTES of rows passes 1 MiB
+        g = lattice.MAX_KEY_BITS
+        I = MonomialIdeal.make(2, _staircase(g))
+        tracemalloc.start()
+        try:
+            L = build_lcm_lattice(I, max_generators=g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert L.size == 1 + g * (g + 1) // 2
+        assert peak < 1 << 20
+
+    def test_element_cap_refuses_in_the_round_it_is_passed(self, monkeypatch):
+        # a 12-edge matching holds 2^k distinct rows after round k, so a cap
+        # of 100 is passed in round 7 and the last 5 generators go unread
+        I = edge_ideal(Hypergraph.make(24, [{2 * i + 1, 2 * i + 2} for i in range(12)]))
+        rounds = []
+        maximum = np.maximum
+        monkeypatch.setattr(lattice.np, "maximum",
+                            lambda *args: rounds.append(len(args[0])) or maximum(*args))
+        with pytest.raises(SizeLimitError, match="lattice exceeds the element cap 100$"):
+            build_lcm_lattice(I, max_elements=100)
+        assert rounds == [1, 2, 4, 8, 16, 32, 64]
 
     @settings(max_examples=20, deadline=None)
     @given(ideal_strategy(4, 6, 3))
@@ -487,11 +559,6 @@ def _disjoint_ideal(blocks):
             gens.append((0,) * offset + g + (0,) * (n - offset - len(g)))
         offset += len(block[0])
     return MonomialIdeal.make(n, gens)
-
-
-def _staircase(g):
-    """x^i y^(g-1-i): g generators, 1 + g(g+1)/2 elements."""
-    return [(i, g - 1 - i) for i in range(g)]
 
 
 class TestElementCap:
