@@ -273,7 +273,7 @@ def audit_instance(theorem: str, instance) -> AuditReport:
         # key has every generator's bit), so equal keys give equal tables;
         # on those is_isomorphic, trying candidates in ascending order,
         # returns the identity. Report it without filling either table.
-        if np.array_equal(L.keys, Lp.keys):
+        if L.keys == Lp.keys:
             iso = list(range(L.size))
         else:
             iso = is_isomorphic(L.lattice, Lp.lattice)

@@ -156,7 +156,9 @@ def _cancellation_keys(join, meet):
 
     Keys are below n^2, so they are int32 up to n = 46340. Sorting a row
     puts equal keys side by side, so its first repeat in sorted order is
-    its least repeated key.
+    its least repeated key. When no row repeats a key, no row is searched,
+    so the keys are None: a lattice holding them between its two searches
+    holds only the bottoms.
     """
     n = join.shape[0]
     keys = meet.astype(np.int32 if n <= 46340 else np.int64)
@@ -165,7 +167,7 @@ def _cancellation_keys(join, meet):
     ordered = np.sort(keys, axis=1)
     same = ordered[:, 1:] == ordered[:, :-1]
     if not same.any():  # every row injective: the lattice is distributive
-        return keys, np.full(n, n)
+        return None, np.full(n, n)
     first = same.argmax(axis=1)
     rows = np.arange(n)
     return keys, np.where(same[rows, first], ordered[rows, first] // n, n)

@@ -8,17 +8,17 @@ and which indices are the ideal's generators (the atoms).
 build_lcm_lattice runs the join-closure on arrays: each round joins one
 generator to every distinct exponent row so far and keeps only the rows
 not seen before, so it handles O(m * N) candidate rows for N elements,
-never the 2^m generator subsets. It then keys each element by the bitmask
-of the generators dividing it, and holds the elements once, as tuples in
-the canonical order of _element_sort_key. The leq/join/meet tables are
-filled from the keys on the first read of LcmLattice.lattice: a caller
-that reads only the elements, the atoms or the ideal (is_boolean) never
-pays for the N x N tables. Every element is the lcm of a subset of the
-generators, so one table over the 2^m generator subsets (the least
-element whose key contains each subset) turns join and meet into gathers,
-in row blocks of about BLOCK_BYTES each. Each label is rendered from its
-tuple later still, when it is read: most verdicts read none, and a
-witness reads only the few it names.
+never the 2^m generator subsets. The same rounds key each element by the
+bitmask of the generators dividing it. The elements are held once, as
+tuples in the canonical order of _element_sort_key. The leq/join/meet
+tables are filled from the keys on the first read of LcmLattice.lattice:
+a caller that reads only the elements, the atoms or the ideal
+(is_boolean) never pays for the N x N tables. Every element is the lcm of
+a subset of the generators, so one table over the 2^m generator subsets
+(the least element whose key contains each subset) turns join and meet
+into gathers, in row blocks of about BLOCK_BYTES each. Each label is
+rendered from its tuple later still, when it is read: most verdicts read
+none, and a witness reads only the few it names.
 """
 
 from __future__ import annotations
@@ -51,10 +51,8 @@ DEFAULT_MAX_PRODUCT = 6400
 # _fill_tables indexes an int32 table by the divisor-bitmask key, 2^m
 # entries for m generators: m = 24 keeps it at 4 * 2^24 bytes = 64 MiB
 MAX_KEY_BITS = 24
-# _KEY_BITS[j] is the key bit of generator j
-_KEY_BITS = np.left_shift(np.uint64(1), np.arange(MAX_KEY_BITS, dtype=np.uint64))
-# rough bound on the bytes of each blocked temporary: the divisor keys, the
-# table fill and the kernels
+# rough bound on the bytes of each blocked temporary: the table fill and the
+# kernels
 BLOCK_BYTES = 1 << 20
 
 
@@ -206,7 +204,7 @@ class LcmLattice:
     ideal: MonomialIdeal
     elements: tuple                 # monomials; index 0 is the unit (0-hat)
     atom_indices: tuple             # indices of the minimal generators
-    keys: np.ndarray = field(repr=False)  # uint64 (n,), divisor bitmask of each element
+    keys: tuple = field(repr=False)  # ints, the divisor bitmask of each element
 
     @property
     def size(self) -> int:
@@ -233,35 +231,36 @@ def _row_blocks(rows: int, row_bytes: int) -> list:
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
-def _divisor_keys(exps: np.ndarray, gens: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """For each exponent row, the bitmask of the generators dividing it."""
-    keys = np.empty(len(exps), dtype=np.uint64)
-    for blk in _row_blocks(len(exps), gens.size):
-        keys[blk] = (exps[blk, None, :] >= gens[None, :, :]).all(axis=2) @ bits
-    return keys
-
-
-def _join_closure(gens: np.ndarray, max_elements: int) -> np.ndarray:
+def _join_closure(gens: np.ndarray, max_elements: int) -> tuple:
     """The distinct lcms of the generator subsets, as exponent rows of the
-    dtype of gens (the unit first, then in the order first reached), or
-    SizeLimitError in the round where they pass max_elements.
+    dtype of gens (the unit first, then in the order first reached), and
+    the key of each: the bitmask of the generators dividing it. Raises
+    SizeLimitError in the round where the rows pass max_elements.
 
     One generator per round: S_k = S_{k-1} | max(S_{k-1}, g_k), from
     {unit}. A row joins S_k only if its bytes are new, so each round
-    handles |S_{k-1}| candidate rows. The bytes of the rows are dropped on
-    return, so a wide ring holds them only while the closure runs.
+    handles |S_{k-1}| candidate rows. In round k the row max(e, g_k) ORs
+    in the key e had before the round and bit k, so after round k the key
+    of e is the union of every subset T of g_0..g_k with lcm(T) = e. After
+    the last round that union is {g : g | e}: every g in such a T divides
+    e, and {g : g | e} is itself such a T, since e = lcm{g : g | e}. That
+    also makes the key injective, whatever the ring dimension or exponent
+    size. The bytes of the rows are dropped on return, so a wide ring
+    holds them only while the closure runs.
     """
     width = gens.itemsize * gens.shape[1]  # bytes of one exponent row
-    # the distinct rows as bytes, in the order first seen
-    distinct = dict.fromkeys([bytes(width)])
+    # row bytes -> key, in the order first seen
+    distinct = {bytes(width): 0}
     exps = np.zeros((1, gens.shape[1]), dtype=gens.dtype)
-    for g in gens:
-        distinct.update(dict.fromkeys(
-            np.maximum(exps, g).view(f"V{width}").ravel().tolist()))
+    for k, g in enumerate(gens):
+        bit = 1 << k
+        joined = np.maximum(exps, g).view(f"V{width}").ravel().tolist()
+        for row, key in zip(joined, list(distinct.values())):
+            distinct[row] = distinct.get(row, 0) | key | bit
         if len(distinct) > max_elements:
             raise SizeLimitError(f"lattice exceeds the element cap {max_elements}")
         exps = np.frombuffer(b"".join(distinct), dtype=gens.dtype).reshape(len(distinct), -1)
-    return exps
+    return exps, tuple(distinct.values())
 
 
 def build_lcm_lattice(
@@ -277,13 +276,12 @@ def build_lcm_lattice(
 
     The join-closure (_join_closure) adds one generator per round and
     keeps only the exponent rows not seen before, so it handles at most
-    m * |L| candidate rows, never the 2^m generator subsets. It checks the
-    element cap in every round, so a lattice over the cap is refused in
-    the round its distinct rows pass it, before any N x N table exists. An
-    ideal of more than MAX_KEY_BITS generators is refused before anything
-    is allocated. Each element is then keyed by the bitmask of the
-    generators dividing it; the key is injective because e = lcm{g : g | e},
-    whatever the ring dimension or exponent size.
+    m * |L| candidate rows, never the 2^m generator subsets. It carries
+    each element's key, the bitmask of the generators dividing it, through
+    its rounds. It checks the element cap in every round, so a lattice
+    over the cap is refused in the round its distinct rows pass it, before
+    any N x N table exists. An ideal of more than MAX_KEY_BITS generators
+    is refused before anything is allocated.
 
     The tables are not built here: the returned LcmLattice fills them on
     the first read of its `lattice` (see _fill_tables), after the cap check
@@ -303,23 +301,20 @@ def build_lcm_lattice(
     # uint32 holds every exponent up to monomials.MAX_EXPONENT, in half the
     # bytes of int64 for each row the closure copies and hashes
     gens = np.array(I.generators, dtype=np.uint32)
-    exps = _join_closure(gens, max_elements)
-    keys = _divisor_keys(exps, gens, _KEY_BITS[:m])
+    exps, keys = _join_closure(gens, max_elements)
 
     # (degree, row) is _element_sort_key, and the rows are distinct
     rows = exps.tolist()
-    ordered = sorted(zip(map(sum, rows), rows, keys.tolist()))
+    ordered = sorted(zip(map(sum, rows), rows, keys))
     elements = tuple(tuple(row) for _, row, _ in ordered)
-    keys = [key for _, _, key in ordered]
+    keys = tuple(key for _, _, key in ordered)
     index = {key: i for i, key in enumerate(keys)}
     # a minimal generator's key is its own bit
     atom_indices = tuple(index[1 << j] for j in range(m))
-    keys = np.array(keys, dtype=np.uint64)
-    keys.setflags(write=False)
     return LcmLattice(I, elements, atom_indices, keys)
 
 
-def _fill_tables(elements: tuple, keys: np.ndarray, m: int) -> FiniteLattice:
+def _fill_tables(elements: tuple, keys: tuple, m: int) -> FiniteLattice:
     """The leq/join/meet tables of `elements` keyed by `keys`; each label
     is rendered from `elements` when it is read.
 
@@ -336,7 +331,7 @@ def _fill_tables(elements: tuple, keys: np.ndarray, m: int) -> FiniteLattice:
     are gathers from least, in row blocks of about BLOCK_BYTES.
     """
     size = len(keys)
-    keys = keys.astype(np.intp)
+    keys = np.array(keys, dtype=np.intp)
     least = np.full(1 << m, size, dtype=np.int32)
     least[keys] = np.arange(size, dtype=np.int32)
     for j in range(m):

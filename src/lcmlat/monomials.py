@@ -66,10 +66,6 @@ def total_degree(m: Monomial) -> int:
     return sum(m)
 
 
-def is_squarefree(m: Monomial) -> bool:
-    return all(e <= 1 for e in m)
-
-
 def subset_lcms(gens, n: int):
     """Yield (mask, lcm of the generators whose bits mask sets), masks 0..2^m - 1.
 

@@ -232,7 +232,7 @@ class TestPolarizationKeys:
         monkeypatch.setattr(audit, "polarize", lambda _: (J, None))
         calls = self.searches(monkeypatch)
         L, Lp = build_lcm_lattice(I), build_lcm_lattice(J)
-        assert L.keys.tolist() == [0, 2, 1, 3] and Lp.keys.tolist() == [0, 1, 2, 3]
+        assert L.keys == (0, 2, 1, 3) and Lp.keys == (0, 1, 2, 3)
         report = audit_instance("polarization-iso", I)
         assert len(calls) == 1
         assert report.actual and report.agree

@@ -14,6 +14,7 @@ from lcmlat.lattice import (
     pentagon_lattice,
     product,
 )
+from lcmlat.properties import is_modular
 from strategies import ideal_strategy
 
 # --- triple-loop oracles: the definitions, scanned in each kernel's order ---
@@ -207,6 +208,17 @@ def test_lattice_searches_share_one_key_table(lattice, monkeypatch):
             assert getattr(fresh, name) == expected[name]
         assert "_cancellation_keys" not in vars(fresh)
     assert len(built) == 2
+
+
+def test_distributive_lattice_holds_no_key_table():
+    """Every key row of a distributive lattice is injective, so no row is
+    searched: after is_modular the lattice holds the row bottoms for the
+    diamond search, not the n x n keys."""
+    B = boolean_lattice(4)
+    assert is_modular(B).holds
+    keys, low = vars(B)["_cancellation_keys"]
+    assert keys is None and low.tolist() == [B.size] * B.size
+    assert B.diamond is None and "_cancellation_keys" not in vars(B)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from itertools import combinations
+from operator import le
 from unittest import mock
 
 import numpy as np
@@ -318,6 +319,13 @@ def _staircase(g):
     return [(i, g - 1 - i) for i in range(g)]
 
 
+def _divisor_keys(I, elements):
+    """Oracle for LcmLattice.keys: the bitmask of the generators dividing
+    each element, by direct divisibility."""
+    return tuple(sum(1 << j for j, g in enumerate(I.generators) if all(map(le, g, e)))
+                 for e in elements)
+
+
 def antichain_ideal_strategy(n_max=3, m_max=8, e_max=3):
     # g followed by (e_max - g): every generator has total degree n * e_max,
     # so distinct ones form an antichain and none is lost to minimalization
@@ -388,6 +396,7 @@ class TestClosureOracle:
         assert np.array_equal(L.lattice.join_table, ref.join_table)
         assert np.array_equal(L.lattice.meet_table, ref.meet_table)
         assert L.atom_indices == tuple(expected.index(g) for g in I.generators)
+        assert L.keys == _divisor_keys(I, expected)
         assert L.lattice.labels == tuple(monomial_str(e) for e in expected)
 
     @settings(max_examples=60, deadline=None)
@@ -440,7 +449,7 @@ class TestClosureOracle:
     @settings(max_examples=30, deadline=None)
     @given(st.one_of(antichain_ideal_strategy(), squarefree_edge_ideal_strategy()))
     def test_tiny_block_budget(self, I):
-        # many row blocks in the divisor keys and in each table
+        # many row blocks in each table
         with mock.patch.object(lattice, "BLOCK_BYTES", 64):
             self.check(I)
 
@@ -454,6 +463,7 @@ class TestClosureOracle:
         assert L.size < 1 << (len(I.generators) - 2)
         assert list(L.elements) == expected
         assert L.atom_indices == tuple(expected.index(g) for g in I.generators)
+        assert L.keys == _divisor_keys(I, expected)
         exps = np.array(expected, dtype=np.int64)
         divides = (exps[:, None, :] <= exps[None, :, :]).all(axis=2)
         assert np.array_equal(L.lattice.leq, divides)
@@ -502,8 +512,10 @@ class TestClosureOracle:
     def test_key_width_cap_builds(self):
         # the widest subset table the fill takes: 2^24 entries
         g = lattice.MAX_KEY_BITS
-        L = build_lcm_lattice(MonomialIdeal.make(2, _staircase(g)), max_generators=g)
+        I = MonomialIdeal.make(2, _staircase(g))
+        L = build_lcm_lattice(I, max_generators=g)
         assert L.size == 1 + g * (g + 1) // 2
+        assert L.keys == _divisor_keys(I, L.elements)
         exps = np.array(L.elements, dtype=np.int64)
         divides = (exps[:, None, :] <= exps[None, :, :]).all(axis=2)
         ref = FiniteLattice.from_leq(divides)
@@ -542,7 +554,7 @@ class TestClosureOracle:
         # a 12-edge matching: every generator subset is an element key
         L = build_lcm_lattice(_disjoint_ideal([[(1, 1)]] * 12))
         assert L.size == 1 << 12
-        keys = L.keys.astype(np.int64)
+        keys = np.array(L.keys, dtype=np.int64)
         assert np.array_equal(np.sort(keys), np.arange(1 << 12))
         for blk in lattice._row_blocks(L.size, 64 * L.size):
             ka, kb = keys[blk, None], keys[None, :]

@@ -13,7 +13,6 @@ from lcmlat.monomials import (
     divides,
     edge_ideal,
     ideal_to_text,
-    is_squarefree,
     lcm,
     minimalize,
     monomial_str,
@@ -185,7 +184,7 @@ class TestPolarize:
         Ip, pmap = polarize(I)
         assert Ip.ring_dimension == I.ring_dimension
         assert set(Ip.generators) == set(I.generators)
-        assert all(is_squarefree(g) for g in Ip.generators)
+        assert all(max(g) <= 1 for g in Ip.generators)
 
     @given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=5))
     def test_depolarize_recovers_generators(self, raw):
