@@ -2,7 +2,8 @@
 
 Runs a fixed list of commands (build json and dot, check with every
 property, conditions, polarize, build and check of two 16-generator
-ideals with few elements, product, iso, a default audit of every
+ideals with few elements, product, iso (also of two edge ideals with
+many automorphisms against relabeled copies), a default audit of every
 theorem, the sampled ideal audits for seeds 1, 2 and 9, the bench's two
 seeded ideal audits at seed 41 (n from 1, so they draw one-variable
 ideals), three sampled hypergraph audits, an unknown theorem, and polarize of a 5-variable ideal at
@@ -47,6 +48,15 @@ SIXTEEN_GENERATORS = {
         "x1^2*x3*x4", "x1*x2^2*x3*x4", "x1^4*x2*x3^2", "x2^2*x3^4", "x2^2*x3*x4^2",
         "x2^3*x3^3", "x2^3*x3*x4", "x1^4*x4", "x1*x2*x4^3", "x4^4", "x1*x2^2*x4^2",
         "x2^4", "x1*x2*x3*x4^2", "x3^2*x4^2", "x1*x3^4*x4", "x2^2*x3^2*x4"]) + "\n",
+}
+# edge ideals with many automorphisms, each checked by `iso` against a copy
+# with variable v renamed 3v mod (n + 1) (n + 1 is prime to 3) and the
+# generators reversed: the search reads the order at every step, so its
+# first mapping pins how the order is built
+ISO_HYPERGRAPHS = {
+    "matching8": (16, [[2 * i + 1, 2 * i + 2] for i in range(8)]),
+    # M3 x B6: the triangle plus six disjoint edges, 320 elements
+    "m3xb6": (15, [[1, 2], [1, 3], [2, 3]] + [[4 + 2 * i, 5 + 2 * i] for i in range(6)]),
 }
 # x1^65536*x2, x2^65536*x3, ..., x5^65536*x1: 327,680 polarized variables
 CAP5_IDEAL = "ring 5\n" + "".join(f"x{i}^65536*x{i % 5 + 1}\n" for i in range(1, 6))
@@ -100,6 +110,13 @@ def commands(fx: Path) -> tuple:
     cap5 = fx / "cap5.ideal"
     cap5.write_text(CAP5_IDEAL)
     same.append(["polarize", "--ideal", cap5])
+    for name, (n, edges) in ISO_HYPERGRAPHS.items():
+        relabeled = [[3 * v % (n + 1) for v in e] for e in edges[::-1]]
+        paths = [fx / f"{name}.ideal", fx / f"{name}_relabeled.ideal"]
+        for path, gens in zip(paths, (edges, relabeled)):
+            path.write_text(f"ring {n}\n" + "".join(
+                "*".join(f"x{v}" for v in sorted(e)) + "\n" for e in gens))
+        same.append(["iso", "--ideal", paths[0], "--ideal", paths[1]])
     for cmd in ("product", "iso"):
         same.append([cmd, "--ideal", ideal["fig3"], "--ideal", ideal["b2"]])
         same.append([cmd, "--ideal", ideal["powers"], "--ideal", ideal["chain"]])

@@ -8,6 +8,7 @@ data, never an error.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -150,6 +151,11 @@ def random_uniform_hypergraph(cfg: GeneratorConfig, rng: SplitMix64 | None = Non
 
     n, k, m are drawn from their ranges with the upper ends clamped to
     feasibility (k <= n, m <= C(n, k)); an infeasible lower end errors.
+
+    Each edge is the one at a drawn position among the k-subsets not yet
+    drawn, in combinations order: the draw r, stepped past the ranks
+    already drawn, is the edge's rank among all C(n, k), and _unrank
+    builds it. No list of the C(n, k) subsets is built.
     """
     rng = rng if rng is not None else SplitMix64(cfg.seed)
     n = rng.in_range(*cfg.n_range)
@@ -157,17 +163,38 @@ def random_uniform_hypergraph(cfg: GeneratorConfig, rng: SplitMix64 | None = Non
     if cfg.k_range[0] > k_hi:
         raise ValueError(f"no feasible k in {cfg.k_range} for n={n}")
     k = rng.in_range(cfg.k_range[0], k_hi)
-    pool = list(combinations(range(1, n + 1), k))
-    m_hi = min(cfg.m_range[1], len(pool))
+    total = math.comb(n, k)
+    m_hi = min(cfg.m_range[1], total)
     if cfg.m_range[0] > m_hi:
         raise ValueError(
-            f"infeasible edge count: need at least {cfg.m_range[0]} of {len(pool)} possible edges"
+            f"infeasible edge count: need at least {cfg.m_range[0]} of {total} possible edges"
         )
     m = rng.in_range(cfg.m_range[0], m_hi)
-    edges = []
-    for _ in range(m):
-        edges.append(pool.pop(rng.below(len(pool))))
+    drawn, edges = [], []
+    for t in range(m):
+        rank = rng.below(total - t)
+        for d in drawn:  # ascending
+            if d > rank:
+                break
+            rank += 1
+        bisect.insort(drawn, rank)
+        edges.append(_unrank(rank, n, k))
     return Hypergraph.make(n, edges)
+
+
+def _unrank(rank: int, n: int, k: int) -> tuple:
+    """The k-subset of 1..n at position rank of combinations(range(1, n + 1), k)."""
+    edge = []
+    for v in range(1, n + 1):
+        if len(edge) == k:
+            break
+        # the subsets that take v next: C(n - v, k - 1 - len(edge)) of them
+        first = math.comb(n - v, k - 1 - len(edge))
+        if rank < first:
+            edge.append(v)
+        else:
+            rank -= first
+    return tuple(edge)
 
 
 def random_monomial_ideal(cfg: GeneratorConfig, rng: SplitMix64 | None = None) -> MonomialIdeal:

@@ -24,8 +24,8 @@ only candidates that lattice theory says cannot yield a witness:
 - once a witness with bottom z* is held, a later a can only win with a
   smaller bottom, so only pairs with a ^ x < z* stay in play.
 
-Tables are int32 join/meet index tables plus a bool leq matrix, as built
-by lattice.FiniteLattice. The two searches take the lattice's
+Tables are int32 join/meet index tables plus the bool leq matrix that
+lattice.FiniteLattice derives from the meet table. The two searches take the lattice's
 _cancellation_keys when it has them, so a lattice that runs both builds
 its keys once. Besides those n x n keys and their sorted copy,
 temporaries larger than O(n) are built in blocks of about

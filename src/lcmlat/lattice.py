@@ -1,17 +1,19 @@
 """Finite lattices and lcm-lattices: construction, tables, products, isomorphism.
 
-A FiniteLattice stores the full order relation plus join/meet index tables
-as numpy arrays; everything downstream (property checks, audits) works off
-those tables. An LcmLattice additionally remembers its monomial elements
-and which indices are the ideal's generators (the atoms).
+A FiniteLattice stores its join/meet index tables as numpy arrays and a
+function that renders each label; everything downstream (property
+checks, audits) works off those tables. The order is derived from them
+on its first read: a <= b exactly when a ^ b = a. An LcmLattice stores
+its ideal, its monomial elements and their divisor keys; its atoms are
+the ideal's minimal generators, found among the keys when first read.
 
 build_lcm_lattice runs the join-closure on arrays: each round joins one
 generator to every distinct exponent row so far and keeps only the rows
 not seen before, so it handles O(m * N) candidate rows for N elements,
 never the 2^m generator subsets. The same rounds key each element by the
 bitmask of the generators dividing it. The elements are held once, as
-tuples in the canonical order of _element_sort_key. The leq/join/meet
-tables are filled from the keys on the first read of LcmLattice.lattice:
+tuples in the canonical order of _element_sort_key. The join/meet tables
+are filled from the keys on the first read of LcmLattice.lattice:
 a caller that reads only the elements, the atoms or the ideal
 (is_boolean) never pays for the N x N tables. Every element is the lcm of
 a subset of the generators, so one table over the 2^m generator subsets
@@ -24,6 +26,7 @@ none, and a witness reads only the few it names.
 from __future__ import annotations
 
 import json
+import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -34,19 +37,19 @@ from .monomials import MonomialIdeal, monomial_str, subset_lcms, total_degree
 
 DEFAULT_MAX_GENERATORS = 16
 # `check --property all` peaks at about 20 bytes per cell of the N x N tables
-# (measured with tracemalloc at N = 448..2560, modular or not): the bool leq
-# and int32 join/meet (1 + 4 + 4) plus either the searches' int32
-# cancellation keys, their sorted copy and a bool mask (4 + 4 + 1) or the
+# (measured with tracemalloc at N = 448..2560, modular or not): the int32
+# join/meet and the derived bool leq (4 + 4 + 1) plus either the searches'
+# int32 cancellation keys, their sorted copy and a bool mask (4 + 4 + 1) or the
 # strict order, its float32 copy and the float32 between-counts (1 + 4 + 4).
 # N = 6000 keeps that peak at 20 * 6000^2 = 0.72e9 bytes, under 1 GB; a
 # 12-edge matching (4096 elements) still builds. The cap dates from a peak
 # of 24 bytes per cell and is kept, so the inputs it refuses stay the same.
 DEFAULT_MAX_ELEMENTS = 6000
-# product() peaks at about 9 bytes per cell of its N x N tables, N = |L1|*|L2|:
-# it broadcasts each table straight into its final layout, so only the bool
-# leq and the int32 join and meet (1 + 4 + 4) exist. N = 80^2 keeps that at
-# 9 * 6400^2 = 0.37e9 bytes. The cap dates from a peak of 21 bytes per cell
-# and is kept, so the inputs it refuses stay the same.
+# product() writes 8 bytes per cell of its N x N tables, N = |L1|*|L2|, the
+# int32 join and meet, each broadcast straight into its final layout; the
+# bool order adds 1 byte on its first read. N = 80^2 keeps the 9 bytes at
+# 9 * 6400^2 = 0.37e9. The cap dates from a peak of 21 bytes per cell and
+# is kept, so the inputs it refuses stay the same.
 DEFAULT_MAX_PRODUCT = 6400
 # _fill_tables indexes an int32 table by the divisor-bitmask key, 2^m
 # entries for m generators: m = 24 keeps it at 4 * 2^24 bytes = 64 MiB
@@ -62,38 +65,40 @@ class SizeLimitError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class FiniteLattice:
-    """A finite bounded lattice given by its leq / join / meet tables.
+    """A finite bounded lattice given by its join / meet index tables.
 
-    `names` gives the element labels: a tuple, a function rendering the
-    label of one index (called only for the labels read), or () for the
-    indices.
+    The order is derived, not stored: a <= b exactly when a ^ b = a, so
+    `leq` is read off meet_table on its first read. `names` renders the
+    label of one index; it is called only for the labels read.
     """
 
-    leq: np.ndarray         # bool (n, n)
     join_table: np.ndarray  # int32 (n, n)
     meet_table: np.ndarray  # int32 (n, n)
-    names: tuple | Callable[[int], str] = ()
+    names: Callable[[int], str] = str
 
     def __post_init__(self):
-        for arr in (self.leq, self.join_table, self.meet_table):
+        for arr in (self.join_table, self.meet_table):
             arr.setflags(write=False)
 
     @cached_property
+    def leq(self) -> np.ndarray:
+        """bool (n, n): leq[a, b] is a <= b, i.e. meet(a, b) == a."""
+        leq = self.meet_table == np.arange(self.size, dtype=np.int32)[:, None]
+        leq.setflags(write=False)
+        return leq
+
+    @cached_property
     def labels(self) -> tuple:
-        if callable(self.names):
-            return tuple(map(self.names, range(self.size)))
-        return self.names or tuple(str(i) for i in range(self.size))
+        return tuple(map(self.names, range(self.size)))
 
     def label(self, i: int) -> str:
         """The label of element i, rendered alone: a witness that names a
         few elements does not render the others."""
-        if callable(self.names):
-            return self.names(i)
-        return self.names[i] if self.names else str(i)
+        return self.names(i)
 
     @property
     def size(self) -> int:
-        return self.leq.shape[0]
+        return self.meet_table.shape[0]
 
     @property
     def bottom(self) -> int:
@@ -162,7 +167,7 @@ class FiniteLattice:
                 if len(greatest) != 1:
                     raise ValueError(f"no unique greatest lower bound for ({a}, {b})")
                 meet[a, b] = meet[b, a] = greatest[0]
-        return cls(leq, join, meet, tuple(labels))
+        return cls(join, meet, tuple(labels).__getitem__ if labels else str)
 
     @classmethod
     def from_covers(cls, n: int, covers, labels=()) -> "FiniteLattice":
@@ -195,15 +200,15 @@ class FiniteLattice:
 class LcmLattice:
     """The lcm-lattice of a monomial ideal, keeping the monomial behind each element.
 
-    `lattice` (the leq/join/meet tables) is filled from `elements` and
-    `keys` on its first read and cached; later reads return the same
+    `lattice` (the join/meet tables) is filled from `elements` and `keys`
+    on its first read and cached; later reads return the same
     FiniteLattice, which renders each label from `elements` when it is
-    read.
+    read. The atoms are the minimal generators, one per generator of the
+    ideal; `atom_indices` finds them among the keys on its first read.
     """
 
     ideal: MonomialIdeal
     elements: tuple                 # monomials; index 0 is the unit (0-hat)
-    atom_indices: tuple             # indices of the minimal generators
     keys: tuple = field(repr=False)  # ints, the divisor bitmask of each element
 
     @property
@@ -212,7 +217,13 @@ class LcmLattice:
 
     @property
     def atom_count(self) -> int:
-        return len(self.atom_indices)
+        return len(self.ideal.generators)
+
+    @cached_property
+    def atom_indices(self) -> tuple:
+        """The indices of the minimal generators, in generator order: a
+        minimal generator's key is its own bit."""
+        return tuple(map(self.keys.index, (1 << j for j in range(self.atom_count))))
 
     @cached_property
     def lattice(self) -> FiniteLattice:
@@ -231,11 +242,12 @@ def _row_blocks(rows: int, row_bytes: int) -> list:
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
-def _join_closure(gens: np.ndarray, max_elements: int) -> tuple:
-    """The distinct lcms of the generator subsets, as exponent rows of the
-    dtype of gens (the unit first, then in the order first reached), and
-    the key of each: the bitmask of the generators dividing it. Raises
-    SizeLimitError in the round where the rows pass max_elements.
+def _join_closure(gens: np.ndarray, max_elements: int) -> dict:
+    """The distinct lcms of the generator subsets, as a dict from the bytes
+    of each exponent row (in the dtype of gens; the unit first, then in
+    the order first reached) to its key: the bitmask of the generators
+    dividing it. Raises SizeLimitError in the round where the rows pass
+    max_elements.
 
     One generator per round: S_k = S_{k-1} | max(S_{k-1}, g_k), from
     {unit}. A row joins S_k only if its bytes are new, so each round
@@ -245,22 +257,20 @@ def _join_closure(gens: np.ndarray, max_elements: int) -> tuple:
     the last round that union is {g : g | e}: every g in such a T divides
     e, and {g : g | e} is itself such a T, since e = lcm{g : g | e}. That
     also makes the key injective, whatever the ring dimension or exponent
-    size. The bytes of the rows are dropped on return, so a wide ring
-    holds them only while the closure runs.
+    size. Each round reads the rows of the last one as one array; the
+    dict holds the only copy of each row between rounds and on return.
     """
     width = gens.itemsize * gens.shape[1]  # bytes of one exponent row
-    # row bytes -> key, in the order first seen
     distinct = {bytes(width): 0}
-    exps = np.zeros((1, gens.shape[1]), dtype=gens.dtype)
     for k, g in enumerate(gens):
         bit = 1 << k
+        exps = np.frombuffer(b"".join(distinct), dtype=gens.dtype).reshape(len(distinct), -1)
         joined = np.maximum(exps, g).view(f"V{width}").ravel().tolist()
         for row, key in zip(joined, list(distinct.values())):
             distinct[row] = distinct.get(row, 0) | key | bit
         if len(distinct) > max_elements:
             raise SizeLimitError(f"lattice exceeds the element cap {max_elements}")
-        exps = np.frombuffer(b"".join(distinct), dtype=gens.dtype).reshape(len(distinct), -1)
-    return exps, tuple(distinct.values())
+    return distinct
 
 
 def build_lcm_lattice(
@@ -301,28 +311,26 @@ def build_lcm_lattice(
     # uint32 holds every exponent up to monomials.MAX_EXPONENT, in half the
     # bytes of int64 for each row the closure copies and hashes
     gens = np.array(I.generators, dtype=np.uint32)
-    exps, keys = _join_closure(gens, max_elements)
+    distinct = _join_closure(gens, max_elements)
 
-    # (degree, row) is _element_sort_key, and the rows are distinct
-    rows = exps.tolist()
-    ordered = sorted(zip(map(sum, rows), rows, keys))
-    elements = tuple(tuple(row) for _, row, _ in ordered)
+    # each row is unpacked straight into its element tuple; (degree, row)
+    # is _element_sort_key, and the rows are distinct
+    rows = list(map(struct.Struct(f"={I.ring_dimension}I").unpack, distinct))
+    ordered = sorted(zip(map(sum, rows), rows, distinct.values()))
+    elements = tuple(row for _, row, _ in ordered)
     keys = tuple(key for _, _, key in ordered)
-    index = {key: i for i, key in enumerate(keys)}
-    # a minimal generator's key is its own bit
-    atom_indices = tuple(index[1 << j] for j in range(m))
-    return LcmLattice(I, elements, atom_indices, keys)
+    return LcmLattice(I, elements, keys)
 
 
 def _fill_tables(elements: tuple, keys: tuple, m: int) -> FiniteLattice:
-    """The leq/join/meet tables of `elements` keyed by `keys`; each label
-    is rendered from `elements` when it is read.
+    """The join/meet tables of `elements` keyed by `keys`; each label is
+    rendered from `elements` when it is read.
 
     least[s] is the first element, in index order, whose key contains the
     m-bit mask s: every entry starts at N, each element is scattered to its
     own key, and m passes take the minimum over supersets, one bit each.
 
-    On keys, a <= b is key(a) subset of key(b). join(a, b) is the lcm of
+    On keys, join(a, b) is the lcm of
     the generators in key(a) | key(b), and meet(a, b) the lcm of those in
     key(a) & key(b). The lcm of the generators in a mask s is an element,
     its key contains s, and it divides every element whose key contains s.
@@ -338,18 +346,16 @@ def _fill_tables(elements: tuple, keys: tuple, m: int) -> FiniteLattice:
         pairs = least.reshape(-1, 2, 1 << j)
         np.minimum(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
 
-    leq = np.empty((size, size), dtype=bool)
     join = np.empty((size, size), dtype=np.int32)
     meet = np.empty((size, size), dtype=np.int32)
     for blk in _row_blocks(size, 16 * size):
         ka, kb = keys[blk, None], keys[None, :]
-        leq[blk] = (ka & ~kb) == 0
         join[blk] = least[ka | kb]
         meet[blk] = least[ka & kb]
 
     # cached: a label can be long (one factor per variable of a wide ring),
     # and witnesses may name one element several times
-    return FiniteLattice(leq, join, meet, cache(lambda i: monomial_str(elements[i])))
+    return FiniteLattice(join, meet, cache(lambda i: monomial_str(elements[i])))
 
 
 def enumerate_subset_lcms(I: MonomialIdeal):
@@ -373,10 +379,9 @@ def interval(L: FiniteLattice, x: int, y: int):
     remap[idx] = np.arange(len(idx), dtype=np.int32)
     original = idx.tolist()
     sub = FiniteLattice(
-        L.leq[np.ix_(idx, idx)].copy(),
         remap[L.join_table[np.ix_(idx, idx)]],
         remap[L.meet_table[np.ix_(idx, idx)]],
-        lambda k: L.label(original[k]),
+        lambda k: L.names(original[k]),
     )
     return sub, original
 
@@ -395,13 +400,11 @@ def product(
     def grid(t1, t2):
         return (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(n, n)
 
-    leq = (L1.leq[:, None, :, None] & L2.leq[None, :, None, :]).reshape(n, n)
-    join = grid(L1.join_table, L2.join_table)
-    meet = grid(L1.meet_table, L2.meet_table)
-    labels = tuple(
-        f"({a},{b})" for a in L1.labels for b in L2.labels
+    return FiniteLattice(
+        grid(L1.join_table, L2.join_table),
+        grid(L1.meet_table, L2.meet_table),
+        lambda i: f"({L1.names(i // n2)},{L2.names(i % n2)})",
     )
-    return FiniteLattice(leq, join, meet, labels)
 
 
 def boolean_lattice(r: int, max_rank: int = DEFAULT_MAX_GENERATORS) -> FiniteLattice:
@@ -410,26 +413,20 @@ def boolean_lattice(r: int, max_rank: int = DEFAULT_MAX_GENERATORS) -> FiniteLat
         raise ValueError("rank must be non-negative")
     if r > max_rank:
         raise SizeLimitError(f"rank {r} exceeds the cap {max_rank}")
-    masks = np.arange(1 << r, dtype=np.int64)
-    leq = (masks[:, None] & masks[None, :]) == masks[:, None]
-    join = np.bitwise_or.outer(masks, masks).astype(np.int32)
-    meet = np.bitwise_and.outer(masks, masks).astype(np.int32)
-    labels = tuple(
-        "{" + ",".join(str(i + 1) for i in range(r) if mask >> i & 1) + "}"
-        for mask in masks
+    masks = np.arange(1 << r, dtype=np.int32)
+    return FiniteLattice(
+        np.bitwise_or.outer(masks, masks),
+        np.bitwise_and.outer(masks, masks),
+        lambda mask: "{" + ",".join(str(i + 1) for i in range(r) if mask >> i & 1) + "}",
     )
-    return FiniteLattice(leq, join, meet, labels)
 
 
 def chain_lattice(n: int) -> FiniteLattice:
     """A total order on n elements."""
     if n < 1:
         raise ValueError("chain needs at least one element")
-    idx = np.arange(n)
-    leq = idx[:, None] <= idx[None, :]
-    join = np.maximum.outer(idx, idx).astype(np.int32)
-    meet = np.minimum.outer(idx, idx).astype(np.int32)
-    return FiniteLattice(leq, join, meet, tuple(str(i) for i in range(n)))
+    idx = np.arange(n, dtype=np.int32)
+    return FiniteLattice(np.maximum.outer(idx, idx), np.minimum.outer(idx, idx))
 
 
 def pentagon_lattice() -> FiniteLattice:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -47,6 +49,32 @@ class TestPrng:
         assert set(draws) <= {2, 3, 4}
 
 
+def _pool_hypergraph(cfg, rng):
+    """Oracle for random_uniform_hypergraph: each edge popped from the list
+    of every k-subset at a drawn position."""
+    n = rng.in_range(*cfg.n_range)
+    k_hi = min(cfg.k_range[1], n)
+    if cfg.k_range[0] > k_hi:
+        raise ValueError(f"no feasible k in {cfg.k_range} for n={n}")
+    k = rng.in_range(cfg.k_range[0], k_hi)
+    pool = list(combinations(range(1, n + 1), k))
+    m_hi = min(cfg.m_range[1], len(pool))
+    if cfg.m_range[0] > m_hi:
+        raise ValueError(
+            f"infeasible edge count: need at least {cfg.m_range[0]} of {len(pool)} possible edges"
+        )
+    m = rng.in_range(cfg.m_range[0], m_hi)
+    return Hypergraph.make(n, [pool.pop(rng.below(len(pool))) for _ in range(m)])
+
+
+def _drawn(sampler, cfg, rng):
+    """The edges in draw order, or the error message."""
+    try:
+        return (sampler(cfg, rng).edges, None)
+    except ValueError as e:
+        return (None, str(e))
+
+
 class TestGenerators:
     def test_forced_tetrahedron(self):
         cfg = GeneratorConfig(seed=1, n_range=(4, 4), k_range=(3, 3), m_range=(4, 4))
@@ -61,6 +89,31 @@ class TestGenerators:
         cfg = GeneratorConfig(seed=1, n_range=(3, 3), k_range=(2, 2), m_range=(4, 4))
         with pytest.raises(ValueError):
             random_uniform_hypergraph(cfg)
+
+    @pytest.mark.parametrize("cfg", [
+        GeneratorConfig(n_range=(2, 9), k_range=(1, 5), m_range=(1, 12)),
+        GeneratorConfig(n_range=(3, 6), k_range=(2, 4), m_range=(5, 20)),
+    ])
+    def test_rank_draws_equal_the_pool_oracle(self, cfg):
+        # equal hypergraphs (edges in draw order), errors and stream states
+        for seed in range(100):
+            ours, theirs = SplitMix64(seed), SplitMix64(seed)
+            for _ in range(5):
+                assert _drawn(random_uniform_hypergraph, cfg, ours) == _drawn(
+                    _pool_hypergraph, cfg, theirs)
+                assert ours.state == theirs.state
+
+    def test_sampler_builds_no_subset_pool(self):
+        # C(20, 10) = 184,756 subsets: a list of them takes about 25 MB
+        cfg = GeneratorConfig(seed=3, n_range=(20, 20), k_range=(10, 10), m_range=(1, 3))
+        tracemalloc.start()
+        try:
+            H = random_uniform_hypergraph(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {len(e) for e in H.edges} == {10}
+        assert peak < 1 << 16
 
     def test_ideal_minimal_and_deterministic(self):
         cfg = GeneratorConfig(seed=3, n_range=(2, 2), m_range=(2, 2), max_exponent=3)

@@ -89,7 +89,7 @@ def _permuted(L, new):
     old = np.argsort(new)
     ix = np.ix_(old, old)
     return FiniteLattice(
-        L.leq[ix], new[L.join_table[ix]].astype(np.int32), new[L.meet_table[ix]].astype(np.int32)
+        new[L.join_table[ix]].astype(np.int32), new[L.meet_table[ix]].astype(np.int32)
     )
 
 
@@ -203,7 +203,7 @@ def test_lattice_searches_share_one_key_table(lattice, monkeypatch):
     monkeypatch.setattr(kernels, "_cancellation_keys",
                         lambda join, meet: built.append(1) or keys(join, meet))
     for order in (("pentagon", "diamond"), ("diamond", "pentagon")):
-        fresh = FiniteLattice(lattice.leq, lattice.join_table, lattice.meet_table)
+        fresh = FiniteLattice(lattice.join_table, lattice.meet_table)
         for name in order:
             assert getattr(fresh, name) == expected[name]
         assert "_cancellation_keys" not in vars(fresh)

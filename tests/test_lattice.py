@@ -221,8 +221,8 @@ class TestProduct:
         assert peak / P.size**2 * lattice.DEFAULT_MAX_PRODUCT**2 < 1e9
 
     def test_tables_are_the_peak(self):
-        # the bool leq and int32 join/meet are 9 bytes per cell; no wider
-        # temporary of the product's size is built
+        # the int32 join/meet are 8 bytes per cell; no wider temporary of
+        # the product's size is built
         L1, L2 = boolean_lattice(5), boolean_lattice(5)
         tracemalloc.start()
         try:
@@ -550,6 +550,23 @@ class TestClosureOracle:
         assert peak < 48 << 20
         assert list(L.elements) == enumerate_subset_lcms(I)
 
+    def test_wide_ring_holds_each_element_once(self):
+        # 9,000 variables after polarization, 39 elements: the element
+        # tuples hold 8 bytes per variable each, and the build peaks under
+        # twice that, so no second full-width copy of the elements is held
+        I, _ = polarize(MonomialIdeal.make(3, [
+            (3000, 1, 0), (0, 3000, 1), (1, 0, 3000), (1000, 1000, 1000),
+            (2000, 500, 10), (10, 2000, 500)]))
+        tracemalloc.start()
+        try:
+            L = build_lcm_lattice(I)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (I.ring_dimension, L.size) == (9000, 39)
+        assert peak < 2 * 8 * I.ring_dimension * L.size
+        assert list(L.elements) == enumerate_subset_lcms(I)
+
     def test_boolean_join_and_meet_are_union_and_intersection(self):
         # a 12-edge matching: every generator subset is an element key
         L = build_lcm_lattice(_disjoint_ideal([[(1, 1)]] * 12))
@@ -633,6 +650,72 @@ digraph lcmlattice {
   "x2*x3*x4*x5*x6" -> "x1*x2*x3*x4*x5*x6";
 }
 """
+
+
+def _lcm_keys_order(L):
+    """The order _fill_tables used to store: key(a) a subset of key(b)."""
+    keys = np.array(L.keys, dtype=np.int64)
+    return (keys[:, None] & ~keys[None, :]) == 0
+
+
+def _built_with_their_orders():
+    """(lattice, the order its builder used to store) for every builder."""
+    cases = []
+    for I in (edge_ideal(Hypergraph.make(6, [{1, 2, 3}, {2, 3, 4}, {4, 5, 6}])),
+              MonomialIdeal.make(2, _staircase(9)),
+              random_monomial_ideal(GeneratorConfig(seed=5, n_range=(4, 4), m_range=(6, 6)))):
+        L = build_lcm_lattice(I)
+        cases.append((L.lattice, _lcm_keys_order(L)))
+    L1, L2 = pentagon_lattice(), cases[0][0]
+    n = L1.size * L2.size
+    cases.append((product(L1, L2),
+                   (L1.leq[:, None, :, None] & L2.leq[None, :, None, :]).reshape(n, n)))
+    masks = np.arange(1 << 4, dtype=np.int64)
+    subsets = (masks[:, None] & masks[None, :]) == masks[:, None]
+    cases.append((boolean_lattice(4), subsets))
+    idx = np.arange(6)
+    chain = idx[:, None] <= idx[None, :]
+    cases.append((chain_lattice(6), chain))
+    whole = cases[1][0]
+    sub, original = interval(whole, 1, whole.size - 3)
+    cases.append((sub, whole.leq[np.ix_(original, original)]))
+    # the tests' reference builder, with labels and without
+    cases.append((FiniteLattice.from_leq(subsets, [f"s{i}" for i in range(16)]), subsets))
+    cases.append((FiniteLattice.from_leq(chain), chain))
+    return cases
+
+
+class TestDerivedOrder:
+    """The order is read off the meet table: a <= b exactly when a ^ b = a."""
+
+    @pytest.mark.parametrize("L,order", _built_with_their_orders())
+    def test_derived_order_equals_the_builders_formula(self, L, order):
+        assert np.array_equal(L.leq, order)
+        assert L.leq is L.leq
+
+    @pytest.mark.parametrize("L,_", _built_with_their_orders())
+    def test_tables_are_read_only(self, L, _):
+        for table in (L.leq, L.join_table, L.meet_table):
+            with pytest.raises(ValueError):
+                table[0, 0] = table[0, 0]
+        with pytest.raises(AttributeError):
+            L.leq = np.ones_like(L.leq)
+
+    @pytest.mark.parametrize("L,_", _built_with_their_orders())
+    def test_label_agrees_with_labels(self, L, _):
+        assert [L.label(i) for i in range(L.size)] == list(L.labels)
+
+    def test_product_renders_no_factor_label_until_one_is_read(self):
+        rendered = []
+
+        def counting(L):
+            return FiniteLattice(L.join_table, L.meet_table,
+                                 lambda i: rendered.append(i) or str(i))
+
+        P = product(counting(boolean_lattice(3)), counting(chain_lattice(4)))
+        assert not rendered
+        assert P.label(13) == "(3,1)"
+        assert rendered == [3, 1]
 
 
 class TestExports:
