@@ -8,8 +8,9 @@ theorem, the sampled ideal audits for seeds 1, 2 and 9, the bench's two
 seeded ideal audits at seed 41 (n from 1, so they draw one-variable
 ideals), three sampled hypergraph audits, an unknown theorem, and polarize of a 5-variable ideal at
 the exponent cap) against each tree's `src/` and compares stdout, stderr and
-exit code. Then it runs a list of malformed input files and prints both
-trees' exit code and stderr, since a refusal may change on purpose.
+exit code. Then it runs a list of refusals (malformed input files, and
+output paths that cannot be written) and prints both trees' exit code and
+stderr, since a refusal may change on purpose.
 
     mkdir ../parent && git archive <parent commit> | tar -x -C ../parent
     python scripts/cli_bytecheck.py ../parent .
@@ -150,6 +151,11 @@ def commands(fx: Path) -> tuple:
         path = fx / f"bad_{name}.ideal"
         path.write_text(text, encoding="utf-8")
         malformed.append(["build", "--ideal", path])
+    # output paths that cannot be written: under a regular file, or a directory
+    blocked = ideal["b2"] / "x"
+    malformed.append(["build", "--ideal", ideal["b2"], "--out", blocked])
+    malformed.append(["check", "--ideal", ideal["b2"], "--out", fx])
+    malformed.append(["audit", "--theorem", "modular", "--counterexamples", blocked])
     return same, malformed
 
 

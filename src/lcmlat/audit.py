@@ -480,7 +480,8 @@ def audit_batch(
 
     Enumerates exhaustively when the instance space has at most
     EXHAUSTIVE_THRESHOLD members (or when forced); otherwise samples
-    cfg.count instances from the seeded stream. Returns (summary, reports).
+    cfg.count instances from the seeded stream. Returns (summary, reports);
+    a counterexample that cannot be written raises ValueError.
     """
     reports = []
     for instance in _instances_for(theorem, cfg, exhaustive):
@@ -492,10 +493,13 @@ def audit_batch(
 
     if counterexample_dir is not None and disagreements:
         out = Path(counterexample_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for r in disagreements:
-            path = out / f"{theorem}-{instance_hash(r.instance)}.json"
-            path.write_text(r.to_json_line() + "\n")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for r in disagreements:
+                path = out / f"{theorem}-{instance_hash(r.instance)}.json"
+                path.write_text(r.to_json_line() + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {counterexample_dir}: {exc}")
 
     summary = {
         "theorem": theorem,

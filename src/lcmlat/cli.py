@@ -141,7 +141,10 @@ def _read(path: str, parse):
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(text)
 

@@ -27,9 +27,9 @@ only candidates that lattice theory says cannot yield a witness:
 Tables are int32 join/meet index tables plus the bool leq matrix that
 lattice.FiniteLattice derives from the meet table. The two searches take the lattice's
 _cancellation_keys when it has them, so a lattice that runs both builds
-its keys once. Besides those n x n keys and their sorted copy,
-temporaries larger than O(n) are built in blocks of about
-lattice.BLOCK_BYTES.
+its keys once. Besides those n x n keys, their sorted copy and the intp copy
+of the join table that counts the join-irreducibles, temporaries larger than
+O(n) are built in blocks of about lattice.BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -99,11 +99,8 @@ def distributive_by_valuation(join, meet, leq):
     x, y holds iff it also preserves joins, i.e. iff it embeds the lattice
     into the Boolean lattice on its join-irreducibles. O(n^2).
     """
-    n = join.shape[0]
-    irreducible = _join_irreducibles(join)
-    v = np.zeros(n, dtype=np.int32)
-    for blk in _row_blocks(n, n):  # each block copies its irreducibles' leq rows
-        v += leq[blk][irreducible[blk]].sum(axis=0, dtype=np.int32)
+    irreducible = _join_irreducibles(join, leq)
+    v = leq.sum(axis=0, dtype=np.int32, where=irreducible[:, None])
     return _is_valuation(v, join, meet)
 
 
@@ -121,20 +118,15 @@ def _heights(leq):
     return h
 
 
-def _join_irreducibles(join):
-    """Mask of the elements that are not the join of two incomparable ones.
+def _join_irreducibles(join, leq):
+    """Mask of the elements that are not the join of two others.
 
-    x v y is neither x nor y iff x and y are incomparable. The bottom is
-    in the mask; it adds 1 to every count v(x), which cancels in the
-    valuation identity.
+    The 2|down(x)| - 1 pairs (a, x) and (x, a) with a <= x all join to x,
+    and x is the join of two others exactly when more pairs than those do.
+    The bottom is in the mask; it adds 1 to every count v(x), which cancels
+    in the valuation identity.
     """
-    n = join.shape[0]
-    cols = np.arange(n, dtype=join.dtype)
-    reducible = np.zeros(n, dtype=bool)
-    for blk in _row_blocks(n, 16 * n):  # three masks, the joins and their int64 indices
-        j = join[blk]
-        reducible[j[(j != cols) & (j != cols[blk, None])]] = True
-    return ~reducible
+    return np.bincount(join.ravel(), minlength=len(join)) == 2 * leq.sum(axis=0) - 1
 
 
 def _is_valuation(v, join, meet):

@@ -39,8 +39,8 @@ DEFAULT_MAX_GENERATORS = 16
 # `check --property all` peaks at about 20 bytes per cell of the N x N tables
 # (measured with tracemalloc at N = 448..2560, modular or not): the int32
 # join/meet and the derived bool leq (4 + 4 + 1) plus either the searches'
-# int32 cancellation keys, their sorted copy and a bool mask (4 + 4 + 1) or the
-# strict order, its float32 copy and the float32 between-counts (1 + 4 + 4).
+# int32 cancellation keys, their sorted copy and a bool mask (4 + 4 + 1) or, for
+# the export and Björner's test, the float32 order copy + float32 sizes (4 + 4).
 # N = 6000 keeps that peak at 20 * 6000^2 = 0.72e9 bytes, under 1 GB; a
 # 12-edge matching (4096 elements) still builds. The cap dates from a peak
 # of 24 bytes per cell and is kept, so the inputs it refuses stay the same.
@@ -407,8 +407,11 @@ def product(
     )
 
 
-def boolean_lattice(r: int, max_rank: int = DEFAULT_MAX_GENERATORS) -> FiniteLattice:
-    """Subsets of {1..r} ordered by inclusion; join = union, meet = intersection."""
+def boolean_lattice(
+    r: int, max_rank: int = DEFAULT_MAX_ELEMENTS.bit_length() - 1
+) -> FiniteLattice:
+    """Subsets of {1..r} ordered by inclusion; join = union, meet = intersection.
+    The default rank cap is the largest r with 2^r <= DEFAULT_MAX_ELEMENTS."""
     if r < 0:
         raise ValueError("rank must be non-negative")
     if r > max_rank:
@@ -425,6 +428,8 @@ def chain_lattice(n: int) -> FiniteLattice:
     """A total order on n elements."""
     if n < 1:
         raise ValueError("chain needs at least one element")
+    if n > DEFAULT_MAX_ELEMENTS:
+        raise SizeLimitError(f"chain size {n} exceeds the cap {DEFAULT_MAX_ELEMENTS}")
     idx = np.arange(n, dtype=np.int32)
     return FiniteLattice(np.maximum.outer(idx, idx), np.minimum.outer(idx, idx))
 
@@ -445,30 +450,27 @@ def diamond_lattice() -> FiniteLattice:
     )
 
 
-def _strict_and_covers(L: FiniteLattice):
-    """The strict order a < b as a bool matrix, and the between-count.
+def _interval_sizes(L: FiniteLattice) -> np.ndarray:
+    """sizes[a, b] = |[a, b]|, the number of c with a <= c <= b.
 
-    between[a, b] is the number of c with a < c < b, a float32 matmul of
-    0/1 entries, exact below 2^24 elements. It is 0 unless a < b, so the
-    covers are strict & (between == 0) and the 3-element intervals are
-    between == 1.
+    A float32 matmul of 0/1 entries, exact below 2^24 elements. It is 0
+    unless a <= b and 1 on the diagonal, so the covers are sizes == 2 and
+    the 3-element intervals are sizes == 3.
     """
-    strict = L.leq & ~np.eye(L.size, dtype=bool)
-    as_float = strict.astype(np.float32)
-    return strict, as_float @ as_float
+    as_float = L.leq.astype(np.float32)
+    return as_float @ as_float
 
 
 def hasse_edges(L: FiniteLattice):
-    """Cover pairs (a, b): a < b with nothing strictly between."""
-    strict, between = _strict_and_covers(L)
-    return list(map(tuple, np.argwhere(strict & (between == 0)).tolist()))
+    """Cover pairs (a, b) in row-major order: the 2-element intervals [a, b]."""
+    return list(map(tuple, np.argwhere(_interval_sizes(L) == 2).tolist()))
 
 
 def _refine_invariants(L: FiniteLattice):
     """Iterated neighborhood refinement; isomorphism-invariant color per element."""
-    strict, between = _strict_and_covers(L)
-    covers = strict & (between == 0)
-    counts = (strict.sum(axis=1), strict.sum(axis=0), covers.sum(axis=1), covers.sum(axis=0))
+    covers = _interval_sizes(L) == 2
+    # up- and down-set sizes count the element itself; that shifts no ranking
+    counts = (L.leq.sum(axis=1), L.leq.sum(axis=0), covers.sum(axis=1), covers.sum(axis=0))
     color = list(zip(*(c.tolist() for c in counts)))
     above = [[] for _ in range(L.size)]
     below = [[] for _ in range(L.size)]
@@ -551,11 +553,11 @@ def is_isomorphic(L1: FiniteLattice, L2: FiniteLattice):
         pos += 1
     if pos < 0:
         return None
-    # final sanity pass over the full tables
+    # final sanity pass over the full tables; equal meet tables give equal
+    # orders, since a <= b exactly when a ^ b = a
     grid = np.ix_(mapping, mapping)
     if not (
-        np.array_equal(L1.leq, L2.leq[grid])
-        and np.array_equal(mapping[L1.join_table], L2.join_table[grid])
+        np.array_equal(mapping[L1.join_table], L2.join_table[grid])
         and np.array_equal(mapping[L1.meet_table], L2.meet_table[grid])
     ):
         return None

@@ -31,7 +31,7 @@ from . import kernels
 from .lattice import (
     FiniteLattice,
     LcmLattice,
-    _strict_and_covers,
+    _interval_sizes,
     boolean_lattice,  # noqa: F401 -- unused; perfbench/tracer.py patches this name
     interval,
     is_isomorphic,  # noqa: F401 -- unused; perfbench/tracer.py patches this name
@@ -216,14 +216,12 @@ def is_relatively_complemented(L: FiniteLattice) -> PropertyVerdict:
     """Every interval [x, y] is complemented as a lattice in its own right.
 
     Björner (Discrete Math. 36, 1981): a lattice of finite length is
-    relatively complemented iff no interval has exactly 3 elements, i.e.
-    exactly one element strictly between its ends. Intervals of at most 2
-    elements are complemented, and a 3-element interval is a chain whose
-    middle has no complement, so the witness is the first such [x, y] in
-    row-major order and its middle element.
+    relatively complemented iff no interval has exactly 3 elements.
+    Intervals of at most 2 elements are complemented, and a 3-element
+    interval is a chain whose middle has no complement, so the witness is
+    the first such [x, y] in row-major order and its middle element.
     """
-    _, between = _strict_and_covers(L)
-    hits = np.flatnonzero(between == 1)
+    hits = np.flatnonzero(_interval_sizes(L) == 3)
     if len(hits) == 0:
         return PropertyVerdict("relatively-complemented", True)
     x, y = divmod(int(hits[0]), L.size)

@@ -376,6 +376,37 @@ class TestProductIso:
         assert code == 2
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written is an input error: exit 2 with
+    one JSON line naming the path, as for a file that cannot be read."""
+
+    @pytest.fixture
+    def blocked(self, tmp_path):
+        # a path under a regular file, so no directory can be made there
+        parent = tmp_path / "plain"
+        parent.write_text("")
+        return str(parent / "x")
+
+    def assert_refused(self, capsys, path, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        [(key, message)] = json.loads(err).items()
+        assert key == "error" and message.startswith(f"cannot write {path}: ")
+
+    def test_build_out_under_a_file(self, capsys, blocked, fig3_ideal_file):
+        self.assert_refused(capsys, blocked, "build", "--ideal", fig3_ideal_file,
+                            "--out", blocked)
+
+    def test_check_out_is_a_directory(self, capsys, tmp_path, fig3_ideal_file):
+        self.assert_refused(capsys, tmp_path, "check", "--ideal", fig3_ideal_file,
+                            "--out", str(tmp_path))
+
+    def test_audit_counterexamples_under_a_file(self, capsys, blocked):
+        # the default modular audit has disagreements, so it writes some
+        self.assert_refused(capsys, blocked, "audit", "--theorem", "modular",
+                            "--counterexamples", blocked)
+
+
 class TestAudit:
     def test_polarization_audit(self, capsys):
         code, out, _ = run(

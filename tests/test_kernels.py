@@ -7,6 +7,7 @@ from lcmlat import kernels
 from lcmlat.audit import GeneratorConfig, SplitMix64, random_monomial_ideal
 from lcmlat.lattice import (
     FiniteLattice,
+    _interval_sizes,
     boolean_lattice,
     build_lcm_lattice,
     chain_lattice,
@@ -208,6 +209,25 @@ def test_lattice_searches_share_one_key_table(lattice, monkeypatch):
             assert getattr(fresh, name) == expected[name]
         assert "_cancellation_keys" not in vars(fresh)
     assert len(built) == 2
+
+
+@pytest.mark.parametrize("lattice", [L for _, L in _SAMPLES], ids=[i for i, _ in _SAMPLES])
+def test_interval_sizes_count_each_interval(lattice):
+    leq = lattice.leq.tolist()
+    n = lattice.size
+    sizes = [[sum(leq[a][c] and leq[c][b] for c in range(n)) for b in range(n)]
+             for a in range(n)]
+    assert _interval_sizes(lattice).tolist() == sizes
+
+
+@pytest.mark.parametrize("lattice", [L for _, L in _SAMPLES], ids=[i for i, _ in _SAMPLES])
+def test_join_irreducibles_by_definition(lattice):
+    """x is join-reducible iff x = a v b for some a, b both other than x."""
+    join = lattice.join_table.tolist()
+    n = lattice.size
+    reducible = {join[a][b] for a in range(n) for b in range(n) if join[a][b] not in (a, b)}
+    expected = [x not in reducible for x in range(n)]
+    assert kernels._join_irreducibles(lattice.join_table, lattice.leq).tolist() == expected
 
 
 def test_distributive_lattice_holds_no_key_table():

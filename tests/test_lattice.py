@@ -244,8 +244,20 @@ class TestBooleanLattice:
         with pytest.raises(SizeLimitError):
             boolean_lattice(5, max_rank=4)
 
+    def test_default_rank_cap_follows_the_element_cap(self):
+        # 2^13 = 8192 elements pass DEFAULT_MAX_ELEMENTS = 6000; refused
+        # before the two 8192^2 int32 tables exist
+        with pytest.raises(SizeLimitError, match="rank 13 exceeds the cap 12$"):
+            boolean_lattice(13)
+
     def test_rank3_cover_count(self):
         assert len(hasse_edges(boolean_lattice(3))) == 12
+
+
+class TestChainLattice:
+    def test_size_cap(self):
+        with pytest.raises(SizeLimitError, match="chain size 6001 exceeds the cap 6000$"):
+            chain_lattice(6001)
 
 
 class TestHasse:
