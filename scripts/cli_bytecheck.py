@@ -8,9 +8,10 @@ theorem, the sampled ideal audits for seeds 1, 2 and 9, the bench's two
 seeded ideal audits at seed 41 (n from 1, so they draw one-variable
 ideals), three sampled hypergraph audits, an unknown theorem, and polarize of a 5-variable ideal at
 the exponent cap) against each tree's `src/` and compares stdout, stderr and
-exit code. Then it runs a list of refusals (malformed input files, and
-output paths that cannot be written) and prints both trees' exit code and
-stderr, since a refusal may change on purpose.
+exit code. Then it runs a list of refusals (malformed input files, output
+paths that cannot be written, and staircases of 20 and 25 generators, one
+inside the generator limit of 24 and one past it) and prints both trees'
+exit code and stderr, since a refusal may change on purpose.
 
     mkdir ../parent && git archive <parent commit> | tar -x -C ../parent
     python scripts/cli_bytecheck.py ../parent .
@@ -156,6 +157,12 @@ def commands(fx: Path) -> tuple:
     malformed.append(["build", "--ideal", ideal["b2"], "--out", blocked])
     malformed.append(["check", "--ideal", ideal["b2"], "--out", fx])
     malformed.append(["audit", "--theorem", "modular", "--counterexamples", blocked])
+    # 20 generators build since the key width (24) is the only generator
+    # limit; 25 pass it
+    for g, cmd in ((20, "check"), (25, "build")):
+        path = fx / f"staircase{g}.ideal"
+        path.write_text("ring 2\n" + "".join(f"x1^{i}*x2^{g - 1 - i}\n" for i in range(g)))
+        malformed.append([cmd, "--ideal", path])
     return same, malformed
 
 

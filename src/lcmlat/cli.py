@@ -18,7 +18,6 @@ from . import audit as audit_mod
 from . import conditions, properties
 from .lattice import (
     DEFAULT_MAX_ELEMENTS,
-    DEFAULT_MAX_GENERATORS,
     build_lcm_lattice,
     is_isomorphic,
     lattice_dot,
@@ -67,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--hypergraph", help="hypergraph JSON file")
         p.add_argument("--out", help="output path (default stdout)")
         if caps:  # only the subcommands that build a lattice
-            p.add_argument("--max-generators", type=int, default=DEFAULT_MAX_GENERATORS)
             p.add_argument("--max-lattice", type=int, default=DEFAULT_MAX_ELEMENTS)
 
     p = sub.add_parser("build", help="construct an lcm-lattice")
@@ -124,9 +122,7 @@ def _load_lattice(args):
 
 
 def _build(args, I: MonomialIdeal):
-    return build_lcm_lattice(
-        I, max_generators=args.max_generators, max_elements=args.max_lattice
-    )
+    return build_lcm_lattice(I, max_elements=args.max_lattice)
 
 
 def _read(path: str, parse):

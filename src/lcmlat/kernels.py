@@ -27,9 +27,8 @@ only candidates that lattice theory says cannot yield a witness:
 Tables are int32 join/meet index tables plus the bool leq matrix that
 lattice.FiniteLattice derives from the meet table. The two searches take the lattice's
 _cancellation_keys when it has them, so a lattice that runs both builds
-its keys once. Besides those n x n keys, their sorted copy and the intp copy
-of the join table that counts the join-irreducibles, temporaries larger than
-O(n) are built in blocks of about lattice.BLOCK_BYTES.
+its keys once. Besides those n x n keys and their sorted copy, temporaries
+larger than O(n) are built in blocks of about lattice.BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -99,8 +98,7 @@ def distributive_by_valuation(join, meet, leq):
     x, y holds iff it also preserves joins, i.e. iff it embeds the lattice
     into the Boolean lattice on its join-irreducibles. O(n^2).
     """
-    irreducible = _join_irreducibles(join, leq)
-    v = leq.sum(axis=0, dtype=np.int32, where=irreducible[:, None])
+    v = leq[_join_irreducibles(join, leq)].sum(axis=0, dtype=np.int32)
     return _is_valuation(v, join, meet)
 
 
@@ -124,9 +122,13 @@ def _join_irreducibles(join, leq):
     The 2|down(x)| - 1 pairs (a, x) and (x, a) with a <= x all join to x,
     and x is the join of two others exactly when more pairs than those do.
     The bottom is in the mask; it adds 1 to every count v(x), which cancels
-    in the valuation identity.
+    in the valuation identity. The join table is counted in row blocks,
+    each cast to intp by bincount on its own.
     """
-    return np.bincount(join.ravel(), minlength=len(join)) == 2 * leq.sum(axis=0) - 1
+    n = len(join)
+    pairs = sum(np.bincount(join[blk].ravel(), minlength=n)
+                for blk in _row_blocks(n, 8 * n))
+    return pairs == 2 * leq.sum(axis=0) - 1
 
 
 def _is_valuation(v, join, meet):

@@ -35,7 +35,6 @@ import numpy as np
 
 from .monomials import MonomialIdeal, monomial_str, subset_lcms, total_degree
 
-DEFAULT_MAX_GENERATORS = 16
 # `check --property all` peaks at about 20 bytes per cell of the N x N tables
 # (measured with tracemalloc at N = 448..2560, modular or not): the int32
 # join/meet and the derived bool leq (4 + 4 + 1) plus either the searches'
@@ -52,8 +51,13 @@ DEFAULT_MAX_ELEMENTS = 6000
 # is kept, so the inputs it refuses stay the same.
 DEFAULT_MAX_PRODUCT = 6400
 # _fill_tables indexes an int32 table by the divisor-bitmask key, 2^m
-# entries for m generators: m = 24 keeps it at 4 * 2^24 bytes = 64 MiB
+# entries for m generators: m = 24 keeps it at 4 * 2^24 bytes = 64 MiB. It
+# is the only generator limit: the closure's work follows |L|, not 2^m.
 MAX_KEY_BITS = 24
+# elements x ring variables: about 16 bytes per cell through the build and
+# is_boolean's scan, and 12 in the round that passes the cap (the old rows,
+# their join, its split rows), so a refusal peaks near 0.4 GB
+MAX_CELLS = 1 << 25
 # rough bound on the bytes of each blocked temporary: the table fill and the
 # kernels
 BLOCK_BYTES = 1 << 20
@@ -247,7 +251,7 @@ def _join_closure(gens: np.ndarray, max_elements: int) -> dict:
     of each exponent row (in the dtype of gens; the unit first, then in
     the order first reached) to its key: the bitmask of the generators
     dividing it. Raises SizeLimitError in the round where the rows pass
-    max_elements.
+    max_elements, or rows x ring variables pass MAX_CELLS.
 
     One generator per round: S_k = S_{k-1} | max(S_{k-1}, g_k), from
     {unit}. A row joins S_k only if its bytes are new, so each round
@@ -264,19 +268,23 @@ def _join_closure(gens: np.ndarray, max_elements: int) -> dict:
     distinct = {bytes(width): 0}
     for k, g in enumerate(gens):
         bit = 1 << k
-        exps = np.frombuffer(b"".join(distinct), dtype=gens.dtype).reshape(len(distinct), -1)
-        joined = np.maximum(exps, g).view(f"V{width}").ravel().tolist()
+        # the joined copy of the rows is freed before the new rows are split
+        rows = np.frombuffer(b"".join(distinct), dtype=gens.dtype).reshape(len(distinct), -1)
+        joined = np.maximum(rows, g)
+        del rows
+        joined = joined.view(f"V{width}").ravel().tolist()
         for row, key in zip(joined, list(distinct.values())):
             distinct[row] = distinct.get(row, 0) | key | bit
         if len(distinct) > max_elements:
             raise SizeLimitError(f"lattice exceeds the element cap {max_elements}")
+        if len(distinct) * gens.shape[1] > MAX_CELLS:
+            raise SizeLimitError(f"lattice exceeds the cell cap {MAX_CELLS}: {len(distinct)} "
+                                 f"elements x {gens.shape[1]} ring variables")
     return distinct
 
 
 def build_lcm_lattice(
-    I: MonomialIdeal,
-    max_generators: int = DEFAULT_MAX_GENERATORS,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
+    I: MonomialIdeal, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> LcmLattice:
     """Join-closure of the generators plus the unit, in canonical order.
 
@@ -288,21 +296,16 @@ def build_lcm_lattice(
     keeps only the exponent rows not seen before, so it handles at most
     m * |L| candidate rows, never the 2^m generator subsets. It carries
     each element's key, the bitmask of the generators dividing it, through
-    its rounds. It checks the element cap in every round, so a lattice
-    over the cap is refused in the round its distinct rows pass it, before
-    any N x N table exists. An ideal of more than MAX_KEY_BITS generators
-    is refused before anything is allocated.
+    its rounds. It checks the element cap and the cell cap (MAX_CELLS) in
+    every round, so a lattice over either is refused in the round its
+    distinct rows pass it, before any N x N table exists. An ideal of more
+    than MAX_KEY_BITS generators is refused before anything is allocated.
 
     The tables are not built here: the returned LcmLattice fills them on
     the first read of its `lattice` (see _fill_tables), after the cap check
     has passed.
     """
     m = len(I.generators)
-    if m > max_generators:
-        raise SizeLimitError(
-            f"ideal has {m} generators; the cap is {max_generators} "
-            "(raise it via max_generators)"
-        )
     if m > MAX_KEY_BITS:
         raise SizeLimitError(
             f"ideal has {m} generators; the subset table of the lattice fill "
@@ -386,14 +389,12 @@ def interval(L: FiniteLattice, x: int, y: int):
     return sub, original
 
 
-def product(
-    L1: FiniteLattice, L2: FiniteLattice, max_size: int = DEFAULT_MAX_PRODUCT
-) -> FiniteLattice:
+def product(L1: FiniteLattice, L2: FiniteLattice) -> FiniteLattice:
     """Componentwise product; element (i, j) lives at index i*|L2| + j."""
     n1, n2 = L1.size, L2.size
     n = n1 * n2
-    if n > max_size:
-        raise SizeLimitError(f"product size {n} exceeds the cap {max_size}")
+    if n > DEFAULT_MAX_PRODUCT:
+        raise SizeLimitError(f"product size {n} exceeds the cap {DEFAULT_MAX_PRODUCT}")
 
     # entry [(i, j), (k, l)] broadcasts from t1[i, k] and t2[j, l], so each
     # table is written once, already in its (n, n) layout
@@ -407,13 +408,12 @@ def product(
     )
 
 
-def boolean_lattice(
-    r: int, max_rank: int = DEFAULT_MAX_ELEMENTS.bit_length() - 1
-) -> FiniteLattice:
+def boolean_lattice(r: int) -> FiniteLattice:
     """Subsets of {1..r} ordered by inclusion; join = union, meet = intersection.
-    The default rank cap is the largest r with 2^r <= DEFAULT_MAX_ELEMENTS."""
+    Refuses 2^r > DEFAULT_MAX_ELEMENTS, i.e. r > 12."""
     if r < 0:
         raise ValueError("rank must be non-negative")
+    max_rank = DEFAULT_MAX_ELEMENTS.bit_length() - 1
     if r > max_rank:
         raise SizeLimitError(f"rank {r} exceeds the cap {max_rank}")
     masks = np.arange(1 << r, dtype=np.int32)
@@ -517,18 +517,15 @@ def is_isomorphic(L1: FiniteLattice, L2: FiniteLattice):
     used = np.zeros(n, dtype=bool)
 
     def consistent(i, j, pos):
-        # i -> j against every element placed before position pos
+        # i -> j preserves the order against every element placed before
+        # position pos; a bijection that preserves the order both ways is
+        # a lattice isomorphism, so join and meet need no test of their own
         placed = placed_order[:pos]
         image = mapping[placed]
-        if (L1.leq[i, placed] != L2.leq[j, image]).any() or (
-            L1.leq[placed, i] != L2.leq[image, j]
-        ).any():
-            return False
-        for t1, t2 in ((L1.join_table, L2.join_table), (L1.meet_table, L2.meet_table)):
-            mapped = mapping[t1[i, placed]]
-            if ((mapped != t2[j, image]) & (mapped != -1)).any():
-                return False
-        return True
+        return not (
+            (L1.leq[i, placed] != L2.leq[j, image]).any()
+            or (L1.leq[placed, i] != L2.leq[image, j]).any()
+        )
 
     # depth-first search with an explicit stack: tried[pos] is how many of
     # order[pos]'s candidates have been tried at the current branch

@@ -71,14 +71,15 @@ def subset_lcms(gens, n: int):
 
     The lcm of mask is that of mask without its lowest bit, lcm that bit's
     generator: one componentwise max per subset. Every generator has n
-    exponents; the empty subset's lcm is the unit.
+    exponents; the empty subset's lcm is the unit. The table of lcms grows
+    as they are yielded, so a scan that stops after k masks holds k lcms.
     """
-    acc = [unit(n)] * (1 << len(gens))
+    acc = [unit(n)]
     yield 0, acc[0]
-    for mask in range(1, len(acc)):
+    for mask in range(1, 1 << len(gens)):
         low = mask & -mask
-        acc[mask] = tuple(map(max, acc[mask ^ low], gens[low.bit_length() - 1]))
-        yield mask, acc[mask]
+        acc.append(tuple(map(max, acc[mask ^ low], gens[low.bit_length() - 1])))
+        yield mask, acc[-1]
 
 
 def monomial_str(m: Monomial) -> str:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -163,6 +164,58 @@ class TestCheck:
         assert json.loads(done.stdout) == {
             "property": "relatively-complemented", "holds": True, "witness": None,
         }
+
+
+def _staircase_file(tmp_path, g):
+    """x1^i*x2^(g-1-i), i < g: g generators, 1 + g(g+1)/2 elements."""
+    p = tmp_path / f"staircase{g}.ideal"
+    p.write_text("ring 2\n" + "".join(f"x1^{i}*x2^{g - 1 - i}\n" for i in range(g)))
+    return str(p)
+
+
+class TestGeneratorLimit:
+    """MAX_KEY_BITS = 24 is the only generator limit; there is no flag for it."""
+
+    # sha256 of the stdout these commands printed when 17 or 24 generators
+    # needed a flag to pass a generator cap of 16: the bytes are unchanged
+    DIGESTS = {
+        (17, "build"): "0e7eff58a0fd9cb18af2ac6186ba7775b848f77d0749a5f0e56ade2e57918136",
+        (17, "boolean"): "958699f997210e898b9131bc4c3abea2f6a32ae1b6a153e8271c7a4cddac516d",
+        (24, "build"): "c50f5d8f8b60288b5ba17d5170aef324758f6d7a16b2f22453df83524d0ed06c",
+        (24, "boolean"): "ca4641be23bcc44310e7f38b403577a88edde9001077ed1629a32398b1c14e14",
+        (24, "all"): "1fbe24997b36ede2a58670d67851e506b18bb62539795177cd5549148d6fbbd3",
+    }
+
+    @pytest.mark.parametrize("g,command", DIGESTS)
+    def test_staircase_builds_by_default(self, capsys, tmp_path, g, command):
+        argv = ["build"] if command == "build" else ["check", "--property", command]
+        code, out, err = run(capsys, *argv, "--ideal", _staircase_file(tmp_path, g))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[g, command]
+
+    @pytest.mark.parametrize("command", ["build", "check"])
+    def test_past_key_width_exits_2(self, capsys, tmp_path, command):
+        code, out, err = run(capsys, command, "--ideal", _staircase_file(tmp_path, 25))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "ideal has 25 generators; the subset table "
+                                            "of the lattice fill holds at most 24"}
+
+    def test_no_generator_flag(self, capsys, fig3_ideal_file):
+        code, out, err = run(capsys, "check", "--ideal", fig3_ideal_file,
+                             "--max-generators", "24")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --max-generators 24" in err
+
+    def test_cell_cap_exits_2(self, capsys, monkeypatch, tmp_path):
+        # a 12-edge star x_i*x_13 holds 2^k rows after round k: a cap of
+        # 32 * 13 cells is passed in round 6
+        p = tmp_path / "star.json"
+        p.write_text(json.dumps({"n": 13, "edges": [[i, 13] for i in range(1, 13)]}))
+        monkeypatch.setattr(lcmlat.lattice, "MAX_CELLS", 32 * 13)
+        code, out, err = run(capsys, "check", "--hypergraph", str(p), "--property", "boolean")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "lattice exceeds the cell cap 416: 64 elements x 13 ring variables"}
 
 
 class TestConditions:

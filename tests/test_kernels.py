@@ -221,12 +221,15 @@ def test_interval_sizes_count_each_interval(lattice):
 
 
 @pytest.mark.parametrize("lattice", [L for _, L in _SAMPLES], ids=[i for i, _ in _SAMPLES])
-def test_join_irreducibles_by_definition(lattice):
+def test_join_irreducibles_by_definition(lattice, monkeypatch):
     """x is join-reducible iff x = a v b for some a, b both other than x."""
     join = lattice.join_table.tolist()
     n = lattice.size
     reducible = {join[a][b] for a in range(n) for b in range(n) if join[a][b] not in (a, b)}
     expected = [x not in reducible for x in range(n)]
+    assert kernels._join_irreducibles(lattice.join_table, lattice.leq).tolist() == expected
+    # the join table is counted in row blocks: one row each past 8 elements
+    monkeypatch.setattr("lcmlat.lattice.BLOCK_BYTES", 64)
     assert kernels._join_irreducibles(lattice.join_table, lattice.leq).tolist() == expected
 
 

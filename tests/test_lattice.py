@@ -70,7 +70,7 @@ class TestBuild:
         rendered = []
         monkeypatch.setattr(lattice, "monomial_str",
                             lambda m: rendered.append(m) or monomial_str(m))
-        L = build_lcm_lattice(MonomialIdeal.make(2, _staircase(17)), max_generators=17)
+        L = build_lcm_lattice(MonomialIdeal.make(2, _staircase(17)))
         assert L.size == 154
         verdicts = json.dumps([v.to_json_dict() for v in all_properties(L)])
         named = {m for m in L.elements if f'"label": "{monomial_str(m)}"' in verdicts}
@@ -86,11 +86,6 @@ class TestBuild:
     def test_single_generator(self):
         L = build_lcm_lattice(MonomialIdeal.make(2, [(1, 1)]))
         assert L.size == 2
-
-    def test_generator_cap(self):
-        I = MonomialIdeal.make(3, [(1, 1, 0), (0, 1, 1)])
-        with pytest.raises(SizeLimitError):
-            build_lcm_lattice(I, max_generators=1)
 
     def test_bottom_and_top(self, fig3_lattice):
         lat = fig3_lattice.lattice
@@ -195,8 +190,8 @@ class TestProduct:
                         assert P.leq[i1 * L2.size + j1, i2 * L2.size + j2] == expected
 
     def test_size_cap(self):
-        with pytest.raises(SizeLimitError):
-            product(boolean_lattice(3), boolean_lattice(3), max_size=10)
+        with pytest.raises(SizeLimitError, match="product size 6480 exceeds the cap 6400$"):
+            product(chain_lattice(81), chain_lattice(80))
 
     def test_default_cap_refuses_just_past_it_before_allocating(self):
         L1, L2 = chain_lattice(37), chain_lattice(173)
@@ -239,10 +234,6 @@ class TestBooleanLattice:
     @pytest.mark.parametrize("r,size", [(0, 1), (2, 4), (3, 8)])
     def test_sizes(self, r, size):
         assert boolean_lattice(r).size == size
-
-    def test_rank_cap(self):
-        with pytest.raises(SizeLimitError):
-            boolean_lattice(5, max_rank=4)
 
     def test_default_rank_cap_follows_the_element_cap(self):
         # 2^13 = 8192 elements pass DEFAULT_MAX_ELEMENTS = 6000; refused
@@ -291,6 +282,74 @@ class TestHasse:
         assert lat.to_json_dict()["atoms"] == [1]
 
 
+def _iso_pruned_by_join_and_meet(L1, L2):
+    """Oracle for is_isomorphic: the same search, which also rejects a
+    candidate whose joins or meets with the placed elements map to placed
+    images other than the joins or meets of those images."""
+    if L1.size != L2.size:
+        return None
+    n = L1.size
+    c1, c2 = lattice._refine_invariants(L1), lattice._refine_invariants(L2)
+    if sorted(c1) != sorted(c2):
+        return None
+    by_color = {}
+    for j, c in enumerate(c2):
+        by_color.setdefault(c, []).append(j)
+    candidates = [by_color[c] for c in c1]
+    order = sorted(range(n), key=lambda i: (len(candidates[i]), i))
+    placed_order = np.array(order)
+    mapping = np.full(n, -1, dtype=np.int64)
+    used = np.zeros(n, dtype=bool)
+
+    def consistent(i, j, pos):
+        placed = placed_order[:pos]
+        image = mapping[placed]
+        if (L1.leq[i, placed] != L2.leq[j, image]).any() or (
+            L1.leq[placed, i] != L2.leq[image, j]
+        ).any():
+            return False
+        for t1, t2 in ((L1.join_table, L2.join_table), (L1.meet_table, L2.meet_table)):
+            mapped = mapping[t1[i, placed]]
+            if ((mapped != t2[j, image]) & (mapped != -1)).any():
+                return False
+        return True
+
+    tried = [0] * n
+    pos = 0
+    while 0 <= pos < n:
+        i = order[pos]
+        if mapping[i] != -1:
+            used[mapping[i]] = False
+            mapping[i] = -1
+        cands = candidates[i]
+        k = tried[pos]
+        while k < len(cands) and (used[cands[k]] or not consistent(i, cands[k], pos)):
+            k += 1
+        if k == len(cands):
+            tried[pos] = 0
+            pos -= 1
+            continue
+        tried[pos] = k + 1
+        mapping[i] = cands[k]
+        used[cands[k]] = True
+        pos += 1
+    return None if pos < 0 else mapping.tolist()
+
+
+def _relabeled_pair(n, edges):
+    """The edge ideal of edges in n variables and a copy with the variables
+    renamed by a seeded permutation and the edges reversed."""
+    rename = np.random.default_rng(n).permutation(n) + 1
+    renamed = [{int(rename[v - 1]) for v in e} for e in edges[::-1]]
+    return [build_lcm_lattice(edge_ideal(Hypergraph.make(n, es))).lattice
+            for es in (edges, renamed)]
+
+
+def _with_matching(n, edges, k):
+    """edges plus k disjoint edges on new variables: the lattice times B_k."""
+    return n + 2 * k, edges + [{n + 2 * i + 1, n + 2 * i + 2} for i in range(k)]
+
+
 class TestIsomorphism:
     def test_polarization_example(self):
         I = MonomialIdeal.make(2, [(2, 1), (0, 3)])
@@ -319,6 +378,23 @@ class TestIsomorphism:
     def test_long_chain_needs_no_recursion(self):
         # one search level per element, deeper than the default recursion limit
         assert is_isomorphic(chain_lattice(1500), chain_lattice(1500)) == list(range(1500))
+
+    @pytest.mark.parametrize("n,edges", [
+        _with_matching(0, [], 6),
+        _with_matching(0, [], 8),
+        _with_matching(0, [], 10),
+        _with_matching(0, [], 12),
+        _with_matching(3, [{1, 2}, {1, 3}, {2, 3}], 4),   # M3 x B4
+        _with_matching(3, [{1, 2}, {1, 3}, {2, 3}], 6),   # M3 x B6
+        _with_matching(4, [{1, 2}, {2, 3}, {3, 4}], 5),   # P4 x B5
+    ], ids=["matching6", "matching8", "matching10", "matching12", "M3xB4", "M3xB6", "P4xB5"])
+    def test_first_mapping_equals_the_join_meet_pruned_search(self, n, edges):
+        # many automorphisms: the order-only search must find the same
+        # first mapping, not just some isomorphism
+        L1, L2 = _relabeled_pair(n, edges)
+        mapping = is_isomorphic(L1, L2)
+        assert mapping is not None
+        assert mapping == _iso_pruned_by_join_and_meet(L1, L2)
 
     def test_symmetric(self, fig5_lattice, fig3_lattice):
         ab = is_isomorphic(fig5_lattice.lattice, fig3_lattice.lattice)
@@ -488,7 +564,7 @@ class TestClosureOracle:
         I = MonomialIdeal.make(2, _staircase(g))
         tracemalloc.start()
         try:
-            L = build_lcm_lattice(I, max_generators=g)
+            L = build_lcm_lattice(I)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -507,6 +583,29 @@ class TestClosureOracle:
             build_lcm_lattice(I, max_elements=100)
         assert rounds == [1, 2, 4, 8, 16, 32, 64]
 
+    def test_cell_cap_refuses_in_the_round_it_is_passed(self, monkeypatch):
+        # a 12-edge star x_i*x_13 holds 2^k rows after round k, so a cap of
+        # 32 * 13 cells holds after round 5 and is passed in round 6
+        I = edge_ideal(Hypergraph.make(13, [{i, 13} for i in range(1, 13)]))
+        monkeypatch.setattr(lattice, "MAX_CELLS", 32 * 13)
+        rounds = []
+        maximum = np.maximum
+        monkeypatch.setattr(lattice.np, "maximum",
+                            lambda *args: rounds.append(len(args[0])) or maximum(*args))
+        with pytest.raises(SizeLimitError,
+                           match="cell cap 416: 64 elements x 13 ring variables$"):
+            build_lcm_lattice(I)
+        assert rounds == [1, 2, 4, 8, 16, 32]
+
+    def test_cell_cap_boundary(self, monkeypatch):
+        # a 5-edge star: 32 elements x 6 variables
+        I = edge_ideal(Hypergraph.make(6, [{i, 6} for i in range(1, 6)]))
+        monkeypatch.setattr(lattice, "MAX_CELLS", 32 * 6)
+        assert build_lcm_lattice(I).size == 32
+        monkeypatch.setattr(lattice, "MAX_CELLS", 32 * 6 - 1)
+        with pytest.raises(SizeLimitError, match="32 elements x 6 ring variables$"):
+            build_lcm_lattice(I)
+
     @settings(max_examples=20, deadline=None)
     @given(ideal_strategy(4, 6, 3))
     def test_element_cap_boundary(self, I):
@@ -519,13 +618,13 @@ class TestClosureOracle:
         n = 25
         I = MonomialIdeal.make(n, [tuple(int(i == j) for i in range(n)) for j in range(n)])
         with pytest.raises(SizeLimitError, match="at most 24"):
-            build_lcm_lattice(I, max_generators=n)
+            build_lcm_lattice(I)
 
     def test_key_width_cap_builds(self):
         # the widest subset table the fill takes: 2^24 entries
         g = lattice.MAX_KEY_BITS
         I = MonomialIdeal.make(2, _staircase(g))
-        L = build_lcm_lattice(I, max_generators=g)
+        L = build_lcm_lattice(I)
         assert L.size == 1 + g * (g + 1) // 2
         assert L.keys == _divisor_keys(I, L.elements)
         exps = np.array(L.elements, dtype=np.int64)
@@ -541,7 +640,7 @@ class TestClosureOracle:
         tracemalloc.start()
         try:
             with pytest.raises(SizeLimitError, match=f"at most {g - 1}$"):
-                build_lcm_lattice(I, max_generators=g)
+                build_lcm_lattice(I)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

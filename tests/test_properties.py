@@ -1,4 +1,5 @@
 import operator
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -79,6 +80,20 @@ class TestBoolean:
         assert not verdict.holds
         assert verdict.witness == _first_collision_from_scratch(L)
         assert verdict.witness["subset_a"] == [1, 2, 3]
+
+    def test_twenty_four_generators_scan_holds_what_it_reads(self):
+        # the scan stops within |L| + 1 = 302 masks and holds only the lcms
+        # it has read, not a table of all 2^24 (128 MiB of pointers)
+        L = build_lcm_lattice(MonomialIdeal.make(2, [(i, 23 - i) for i in range(24)]))
+        tracemalloc.start()
+        try:
+            verdict = is_boolean(L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (L.atom_count, L.size) == (24, 301)
+        assert verdict.witness == _first_collision_from_scratch(L)
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("edges", [
         [(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1)],  # Boolean, 8 elements
