@@ -9,12 +9,16 @@ seeded ideal audits at seed 41 (n from 1, so they draw one-variable
 ideals), three sampled hypergraph audits, an unknown theorem, and polarize of a 5-variable ideal at
 the exponent cap) against each tree's `src/` and compares stdout, stderr and
 exit code. Then it runs a list of refusals (malformed input files, output
-paths that cannot be written, and staircases of 20 and 25 generators, one
-inside the generator limit of 24 and one past it) and prints both trees'
-exit code and stderr, since a refusal may change on purpose.
+paths that cannot be written, staircases of 20 and 25 generators, one
+inside the generator limit of 24 and one past it, and the removed cap flag
+`--max-lattice` on `check` and `build`) and prints both trees' exit code
+and stderr, since a refusal may change on purpose.
 
     mkdir ../parent && git archive <parent commit> | tar -x -C ../parent
     python scripts/cli_bytecheck.py ../parent .
+
+The `bytecheck` job of `.github/workflows/tier1.yml` runs it on each pull
+request, with the pull request's base commit as the parent.
 
 Exits 1 if any command of the fixed list differs. Takes about 40 s per tree
 on a 2-core machine; the fixtures go to a temporary directory that both
@@ -163,6 +167,9 @@ def commands(fx: Path) -> tuple:
         path = fx / f"staircase{g}.ideal"
         path.write_text("ring 2\n" + "".join(f"x1^{i}*x2^{g - 1 - i}\n" for i in range(g)))
         malformed.append([cmd, "--ideal", path])
+    # every cap is a module constant, so a cap flag is an unknown argument
+    malformed.append(["check", "--max-lattice", "5", "--ideal", ideal["b2"]])
+    malformed.append(["build", "--max-lattice", "100000", "--hypergraph", hg["matching10"]])
     return same, malformed
 
 

@@ -77,9 +77,6 @@ class SplitMix64:
     def __init__(self, seed: int):
         self.state = seed & self.MASK
 
-    def next_u64(self) -> int:
-        return self.draws(0, self.MASK, 1)[0]
-
     def below(self, bound: int) -> int:
         if bound <= 0:
             raise ValueError("bound must be positive")

@@ -17,7 +17,6 @@ from pathlib import Path
 from . import audit as audit_mod
 from . import conditions, properties
 from .lattice import (
-    DEFAULT_MAX_ELEMENTS,
     build_lcm_lattice,
     is_isomorphic,
     lattice_dot,
@@ -25,7 +24,6 @@ from .lattice import (
     product,
 )
 from .monomials import (
-    MonomialIdeal,
     edge_ideal,
     ideal_to_text,
     monomial_str,
@@ -57,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lcmlat", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_input_flags(p, two_ideals=False, caps=True):
+    def add_input_flags(p, two_ideals=False):
         if two_ideals:
             p.add_argument("--ideal", action="append", required=True,
                            help="ideal file (give twice)")
@@ -65,8 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--ideal", help="ideal file")
             p.add_argument("--hypergraph", help="hypergraph JSON file")
         p.add_argument("--out", help="output path (default stdout)")
-        if caps:  # only the subcommands that build a lattice
-            p.add_argument("--max-lattice", type=int, default=DEFAULT_MAX_ELEMENTS)
 
     p = sub.add_parser("build", help="construct an lcm-lattice")
     add_input_flags(p)
@@ -80,10 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="exit 1 if any checked property is false")
 
     p = sub.add_parser("conditions", help="structural predicates on a hypergraph")
-    add_input_flags(p, caps=False)
+    add_input_flags(p)
 
     p = sub.add_parser("polarize", help="polarize a monomial ideal")
-    add_input_flags(p, caps=False)
+    add_input_flags(p)
 
     p = sub.add_parser("product", help="product of two lcm-lattices")
     add_input_flags(p, two_ideals=True)
@@ -118,11 +114,7 @@ def _load_lattice(args):
         I = edge_ideal(_read(args.hypergraph, parse_hypergraph_json))
     else:
         raise CliError("one of --ideal or --hypergraph is required")
-    return _build(args, I)
-
-
-def _build(args, I: MonomialIdeal):
-    return build_lcm_lattice(I, max_elements=args.max_lattice)
+    return build_lcm_lattice(I)
 
 
 def _read(path: str, parse):
@@ -206,7 +198,7 @@ def _cmd_polarize(args) -> int:
 def _two_lattices(args):
     if len(args.ideal) != 2:
         raise CliError("give --ideal exactly twice")
-    return [_build(args, _read(path, parse_ideal_text)) for path in args.ideal]
+    return [build_lcm_lattice(_read(path, parse_ideal_text)) for path in args.ideal]
 
 
 def _cmd_product(args) -> int:

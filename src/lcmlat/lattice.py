@@ -35,6 +35,8 @@ import numpy as np
 
 from .monomials import MonomialIdeal, monomial_str, subset_lcms, total_degree
 
+# The caps are module constants: no flag or parameter sets them, so the
+# memory bounds below hold for every caller.
 # `check --property all` peaks at about 20 bytes per cell of the N x N tables
 # (measured with tracemalloc at N = 448..2560, modular or not): the int32
 # join/meet and the derived bool leq (4 + 4 + 1) plus either the searches'
@@ -43,13 +45,13 @@ from .monomials import MonomialIdeal, monomial_str, subset_lcms, total_degree
 # N = 6000 keeps that peak at 20 * 6000^2 = 0.72e9 bytes, under 1 GB; a
 # 12-edge matching (4096 elements) still builds. The cap dates from a peak
 # of 24 bytes per cell and is kept, so the inputs it refuses stay the same.
-DEFAULT_MAX_ELEMENTS = 6000
+MAX_ELEMENTS = 6000
 # product() writes 8 bytes per cell of its N x N tables, N = |L1|*|L2|, the
 # int32 join and meet, each broadcast straight into its final layout; the
 # bool order adds 1 byte on its first read. N = 80^2 keeps the 9 bytes at
 # 9 * 6400^2 = 0.37e9. The cap dates from a peak of 21 bytes per cell and
 # is kept, so the inputs it refuses stay the same.
-DEFAULT_MAX_PRODUCT = 6400
+MAX_PRODUCT = 6400
 # _fill_tables indexes an int32 table by the divisor-bitmask key, 2^m
 # entries for m generators: m = 24 keeps it at 4 * 2^24 bytes = 64 MiB. It
 # is the only generator limit: the closure's work follows |L|, not 2^m.
@@ -95,11 +97,6 @@ class FiniteLattice:
     def labels(self) -> tuple:
         return tuple(map(self.names, range(self.size)))
 
-    def label(self, i: int) -> str:
-        """The label of element i, rendered alone: a witness that names a
-        few elements does not render the others."""
-        return self.names(i)
-
     @property
     def size(self) -> int:
         return self.meet_table.shape[0]
@@ -126,9 +123,6 @@ class FiniteLattice:
         if not 0 <= a < self.size:
             raise IndexError(f"element index {a} out of range for size {self.size}")
 
-    def index_of_label(self, label: str) -> int:
-        return self.labels.index(label)
-
     @cached_property
     def pentagon(self):
         """kernels.pentagon_search on the tables, run on the first read only."""
@@ -151,44 +145,6 @@ class FiniteLattice:
             keys = self.__dict__["_cancellation_keys"] = kernels._cancellation_keys(
                 self.join_table, self.meet_table)
         return getattr(kernels, name)(self.join_table, self.meet_table, self.leq, keys)
-
-    @classmethod
-    def from_leq(cls, leq, labels=()) -> "FiniteLattice":
-        """Build tables from an order matrix; raises if some lub/glb is missing."""
-        leq = np.asarray(leq, dtype=bool)
-        n = leq.shape[0]
-        join = np.full((n, n), -1, dtype=np.int32)
-        meet = np.full((n, n), -1, dtype=np.int32)
-        for a in range(n):
-            for b in range(a, n):
-                ub = np.nonzero(leq[a] & leq[b])[0]
-                least = ub[leq[np.ix_(ub, ub)].all(axis=1)]
-                if len(least) != 1:
-                    raise ValueError(f"no unique least upper bound for ({a}, {b})")
-                join[a, b] = join[b, a] = least[0]
-                lb = np.nonzero(leq[:, a] & leq[:, b])[0]
-                greatest = lb[leq[np.ix_(lb, lb)].all(axis=0)]
-                if len(greatest) != 1:
-                    raise ValueError(f"no unique greatest lower bound for ({a}, {b})")
-                meet[a, b] = meet[b, a] = greatest[0]
-        return cls(join, meet, tuple(labels).__getitem__ if labels else str)
-
-    @classmethod
-    def from_covers(cls, n: int, covers, labels=()) -> "FiniteLattice":
-        """Build from Hasse edges (a, b) meaning a is covered by b."""
-        leq = np.eye(n, dtype=bool)
-        adj = [[] for _ in range(n)]
-        for a, b in covers:
-            adj[a].append(b)
-        for start in range(n):
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if not leq[start, w]:
-                        leq[start, w] = True
-                        stack.append(w)
-        return cls.from_leq(leq, labels)
 
     def to_json_dict(self) -> dict:
         covers = hasse_edges(self)
@@ -246,12 +202,12 @@ def _row_blocks(rows: int, row_bytes: int) -> list:
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
-def _join_closure(gens: np.ndarray, max_elements: int) -> dict:
+def _join_closure(gens: np.ndarray) -> dict:
     """The distinct lcms of the generator subsets, as a dict from the bytes
     of each exponent row (in the dtype of gens; the unit first, then in
     the order first reached) to its key: the bitmask of the generators
     dividing it. Raises SizeLimitError in the round where the rows pass
-    max_elements, or rows x ring variables pass MAX_CELLS.
+    MAX_ELEMENTS, or rows x ring variables pass MAX_CELLS.
 
     One generator per round: S_k = S_{k-1} | max(S_{k-1}, g_k), from
     {unit}. A row joins S_k only if its bytes are new, so each round
@@ -275,17 +231,15 @@ def _join_closure(gens: np.ndarray, max_elements: int) -> dict:
         joined = joined.view(f"V{width}").ravel().tolist()
         for row, key in zip(joined, list(distinct.values())):
             distinct[row] = distinct.get(row, 0) | key | bit
-        if len(distinct) > max_elements:
-            raise SizeLimitError(f"lattice exceeds the element cap {max_elements}")
+        if len(distinct) > MAX_ELEMENTS:
+            raise SizeLimitError(f"lattice exceeds the element cap {MAX_ELEMENTS}")
         if len(distinct) * gens.shape[1] > MAX_CELLS:
             raise SizeLimitError(f"lattice exceeds the cell cap {MAX_CELLS}: {len(distinct)} "
                                  f"elements x {gens.shape[1]} ring variables")
     return distinct
 
 
-def build_lcm_lattice(
-    I: MonomialIdeal, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> LcmLattice:
+def build_lcm_lattice(I: MonomialIdeal) -> LcmLattice:
     """Join-closure of the generators plus the unit, in canonical order.
 
     Elements come out in the order of _element_sort_key (the unit first,
@@ -296,10 +250,11 @@ def build_lcm_lattice(
     keeps only the exponent rows not seen before, so it handles at most
     m * |L| candidate rows, never the 2^m generator subsets. It carries
     each element's key, the bitmask of the generators dividing it, through
-    its rounds. It checks the element cap and the cell cap (MAX_CELLS) in
-    every round, so a lattice over either is refused in the round its
-    distinct rows pass it, before any N x N table exists. An ideal of more
-    than MAX_KEY_BITS generators is refused before anything is allocated.
+    its rounds. It checks the element cap (MAX_ELEMENTS) and the cell cap
+    (MAX_CELLS) in every round, so a lattice over either is refused in the
+    round its distinct rows pass it, before any N x N table exists. An
+    ideal of more than MAX_KEY_BITS generators is refused before anything
+    is allocated.
 
     The tables are not built here: the returned LcmLattice fills them on
     the first read of its `lattice` (see _fill_tables), after the cap check
@@ -314,7 +269,7 @@ def build_lcm_lattice(
     # uint32 holds every exponent up to monomials.MAX_EXPONENT, in half the
     # bytes of int64 for each row the closure copies and hashes
     gens = np.array(I.generators, dtype=np.uint32)
-    distinct = _join_closure(gens, max_elements)
+    distinct = _join_closure(gens)
 
     # each row is unpacked straight into its element tuple; (degree, row)
     # is _element_sort_key, and the rows are distinct
@@ -393,8 +348,8 @@ def product(L1: FiniteLattice, L2: FiniteLattice) -> FiniteLattice:
     """Componentwise product; element (i, j) lives at index i*|L2| + j."""
     n1, n2 = L1.size, L2.size
     n = n1 * n2
-    if n > DEFAULT_MAX_PRODUCT:
-        raise SizeLimitError(f"product size {n} exceeds the cap {DEFAULT_MAX_PRODUCT}")
+    if n > MAX_PRODUCT:
+        raise SizeLimitError(f"product size {n} exceeds the cap {MAX_PRODUCT}")
 
     # entry [(i, j), (k, l)] broadcasts from t1[i, k] and t2[j, l], so each
     # table is written once, already in its (n, n) layout
@@ -410,10 +365,10 @@ def product(L1: FiniteLattice, L2: FiniteLattice) -> FiniteLattice:
 
 def boolean_lattice(r: int) -> FiniteLattice:
     """Subsets of {1..r} ordered by inclusion; join = union, meet = intersection.
-    Refuses 2^r > DEFAULT_MAX_ELEMENTS, i.e. r > 12."""
+    Refuses 2^r > MAX_ELEMENTS, i.e. r > 12."""
     if r < 0:
         raise ValueError("rank must be non-negative")
-    max_rank = DEFAULT_MAX_ELEMENTS.bit_length() - 1
+    max_rank = MAX_ELEMENTS.bit_length() - 1
     if r > max_rank:
         raise SizeLimitError(f"rank {r} exceeds the cap {max_rank}")
     masks = np.arange(1 << r, dtype=np.int32)
@@ -428,26 +383,42 @@ def chain_lattice(n: int) -> FiniteLattice:
     """A total order on n elements."""
     if n < 1:
         raise ValueError("chain needs at least one element")
-    if n > DEFAULT_MAX_ELEMENTS:
-        raise SizeLimitError(f"chain size {n} exceeds the cap {DEFAULT_MAX_ELEMENTS}")
+    if n > MAX_ELEMENTS:
+        raise SizeLimitError(f"chain size {n} exceeds the cap {MAX_ELEMENTS}")
     idx = np.arange(n, dtype=np.int32)
     return FiniteLattice(np.maximum.outer(idx, idx), np.minimum.outer(idx, idx))
 
 
 def pentagon_lattice() -> FiniteLattice:
     """N5: bottom 0, chain 1 < 2 opposite 3, top 4."""
-    return FiniteLattice.from_covers(
-        5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)],
-        labels=("0", "x", "y", "a", "1"),
-    )
+    join = [[0, 1, 2, 3, 4],
+            [1, 1, 2, 4, 4],
+            [2, 2, 2, 4, 4],
+            [3, 4, 4, 3, 4],
+            [4, 4, 4, 4, 4]]
+    meet = [[0, 0, 0, 0, 0],
+            [0, 1, 1, 0, 1],
+            [0, 1, 2, 0, 2],
+            [0, 0, 0, 3, 3],
+            [0, 1, 2, 3, 4]]
+    return FiniteLattice(np.array(join, dtype=np.int32), np.array(meet, dtype=np.int32),
+                         ("0", "x", "y", "a", "1").__getitem__)
 
 
 def diamond_lattice() -> FiniteLattice:
     """M3: bottom 0, three incomparable middles 1, 2, 3, top 4."""
-    return FiniteLattice.from_covers(
-        5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
-        labels=("0", "a", "b", "c", "1"),
-    )
+    join = [[0, 1, 2, 3, 4],
+            [1, 1, 4, 4, 4],
+            [2, 4, 2, 4, 4],
+            [3, 4, 4, 3, 4],
+            [4, 4, 4, 4, 4]]
+    meet = [[0, 0, 0, 0, 0],
+            [0, 1, 0, 0, 1],
+            [0, 0, 2, 0, 2],
+            [0, 0, 0, 3, 3],
+            [0, 1, 2, 3, 4]]
+    return FiniteLattice(np.array(join, dtype=np.int32), np.array(meet, dtype=np.int32),
+                         ("0", "a", "b", "c", "1").__getitem__)
 
 
 def _interval_sizes(L: FiniteLattice) -> np.ndarray:

@@ -271,16 +271,6 @@ class PolarizationMap:
             for k in range(1, self.slot_counts[i - 1] + 1)
         ]
 
-    def depolarize(self, m: Monomial) -> Monomial:
-        """Collapse slots back to per-variable counts."""
-        validate_monomial(m, self.target_dimension)
-        out = []
-        pos = 0
-        for a in self.slot_counts:
-            out.append(sum(m[pos : pos + a]))
-            pos += a
-        return tuple(out)
-
 
 def polarize(I: MonomialIdeal):
     """Expand each exponent into distinct square-free slot variables.

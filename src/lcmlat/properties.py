@@ -57,7 +57,7 @@ class PropertyVerdict:
 
 
 def _labeled(L: FiniteLattice, idx: int) -> dict:
-    return {"index": int(idx), "label": L.label(idx)}
+    return {"index": int(idx), "label": L.names(idx)}
 
 
 def is_boolean(L: LcmLattice) -> PropertyVerdict:

@@ -105,9 +105,9 @@ def test_criterion_3_figure5_fixture(fig5_graph, fig5_lattice, fig3_lattice):
         assert set(lat.labels) == {
             "1", "x1*x2", "x1*x3", "x2*x4", "x1*x2*x3", "x1*x2*x4", "x1*x2*x3*x4",
         }
-        i13 = lat.index_of_label("x1*x3")
-        i24 = lat.index_of_label("x2*x4")
-        i12 = lat.index_of_label("x1*x2")
+        i13 = lat.labels.index("x1*x3")
+        i24 = lat.labels.index("x2*x4")
+        i12 = lat.labels.index("x1*x2")
         assert i24 in complements_of(lat, i13)
         assert complements_of(lat, i12) == []
         assert not is_complemented(lat).holds
@@ -127,7 +127,7 @@ def test_criterion_3_figure5_fixture(fig5_graph, fig5_lattice, fig3_lattice):
 )
 def test_criterion_3_complements_of_13_exact_set(fig5_lattice):
     lat = fig5_lattice.lattice
-    comp = complements_of(lat, lat.index_of_label("x1*x3"))
+    comp = complements_of(lat, lat.labels.index("x1*x3"))
     assert {lat.labels[i] for i in comp} == {"x2*x4"}
 
 

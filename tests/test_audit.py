@@ -29,19 +29,21 @@ class TestPrng:
     def test_documented_recurrence(self):
         # reference values computed from the stated constants by hand
         rng = SplitMix64(0)
-        first = rng.next_u64()
+        first = rng.draws(0, SplitMix64.MASK, 1)[0]
         rng2 = SplitMix64(0)
         state = (0 + SplitMix64.GAMMA) & SplitMix64.MASK
         z = state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & SplitMix64.MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & SplitMix64.MASK
         assert first == z ^ (z >> 31)
-        assert rng2.next_u64() == first
+        assert rng2.draws(0, SplitMix64.MASK, 1)[0] == first
 
     def test_streams_repeat(self):
         a = SplitMix64(123)
         b = SplitMix64(123)
-        assert [a.next_u64() for _ in range(50)] == [b.next_u64() for _ in range(50)]
+        mask = SplitMix64.MASK
+        assert ([a.draws(0, mask, 1)[0] for _ in range(50)]
+                == [b.draws(0, mask, 1)[0] for _ in range(50)])
 
     def test_in_range(self):
         rng = SplitMix64(5)

@@ -59,6 +59,25 @@ def assert_one_error_line(done, message):
     assert message in json.loads(lines[0])["error"]
 
 
+class TestNoCapFlags:
+    # every cap is a module constant, so no subcommand takes a cap flag
+    @pytest.mark.parametrize("subcommand", ["build", "check", "conditions", "polarize",
+                                            "product", "iso", "audit"])
+    def test_max_lattice_is_refused(self, capsys, tmp_path, tetra_file, subcommand):
+        ideal = tmp_path / "b2.ideal"
+        ideal.write_text("ring 2\nx1\nx2\n")  # 4 elements, inside a cap of 5
+        inputs = {
+            "conditions": ["--hypergraph", tetra_file],
+            "product": ["--ideal", str(ideal), "--ideal", str(ideal)],
+            "iso": ["--ideal", str(ideal), "--ideal", str(ideal)],
+            "audit": ["--theorem", "boolean", "--n", "2..2", "--k", "2..2", "--m", "1..1"],
+        }.get(subcommand, ["--ideal", str(ideal)])
+        assert run(capsys, subcommand, *inputs)[0] == 0
+        code, out, err = run(capsys, subcommand, *inputs, "--max-lattice", "5")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --max-lattice 5" in err
+
+
 class TestBuild:
     def test_dot_fig3(self, capsys, fig3_ideal_file):
         code, out, err = run(capsys, "build", "--ideal", fig3_ideal_file, "--format", "dot")
@@ -233,11 +252,6 @@ class TestConditions:
         names = [json.loads(l)["condition"] for l in out.splitlines()]
         assert "degree1-path" in names and "induced-p4" in names
 
-    def test_no_cap_flags(self, capsys, tetra_file):
-        # conditions builds no lattice, so it takes no lattice caps
-        code, _, _ = run(capsys, "conditions", "--hypergraph", tetra_file, "--max-lattice", "5")
-        assert code == 2
-
 
 MALFORMED_HYPERGRAPHS = {
     "string vertices": '{"n": 3, "edges": [["1", "2"]]}',
@@ -370,12 +384,6 @@ class TestPolarize:
         assert obj["polarized"]["ring"] == 5
         assert obj["polarized"]["generators"] == ["x1*x2*x3", "x3*x4*x5"]
         assert obj["variable_names"] == ["x1_1", "x1_2", "x2_1", "x2_2", "x2_3"]
-
-    def test_no_cap_flags(self, capsys, tmp_path):
-        p = tmp_path / "ideal.txt"
-        p.write_text(POLARIZE_IDEAL)
-        code, _, _ = run(capsys, "polarize", "--ideal", str(p), "--max-lattice", "5")
-        assert code == 2
 
 
 class TestProductIso:

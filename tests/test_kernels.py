@@ -16,6 +16,7 @@ from lcmlat.lattice import (
     product,
 )
 from lcmlat.properties import is_modular
+from reference import from_covers
 from strategies import ideal_strategy
 
 # --- triple-loop oracles: the definitions, scanned in each kernel's order ---
@@ -109,7 +110,7 @@ def _pentagon_cutoff_lattice():
     pentagon."""
     covers = [(1, 0), (1, 2), (1, 3), (3, 4), (4, 9), (2, 9), (0, 5), (0, 6), (0, 7),
               (5, 8), (6, 8), (7, 8), (8, 9)]
-    return FiniteLattice.from_covers(10, covers)
+    return from_covers(10, covers)
 
 
 def _diamond_cutoff_lattice():
@@ -118,7 +119,7 @@ def _diamond_cutoff_lattice():
     repeats the key (0, 9) on 7 < 8, so only the strict cutoff skips it."""
     covers = [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 6), (3, 6), (4, 6), (5, 6),
               (6, 9), (0, 7), (7, 8), (8, 9)]
-    return FiniteLattice.from_covers(10, covers)
+    return from_covers(10, covers)
 
 
 def _two_diamond_tops():
@@ -126,7 +127,7 @@ def _two_diamond_tops():
     first diamond through 1 has the larger top."""
     covers = [(0, i) for i in range(1, 6)]
     covers += [(1, 7), (2, 7), (3, 7), (1, 6), (4, 6), (5, 6), (6, 8), (7, 8)]
-    return FiniteLattice.from_covers(9, covers)
+    return from_covers(9, covers)
 
 
 def _random_lattices(seed, cfg, count=20):

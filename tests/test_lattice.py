@@ -38,6 +38,7 @@ from lcmlat.monomials import (
     polarize,
 )
 from lcmlat.properties import SWEEP_LIMIT, all_properties, is_complemented
+from reference import from_covers, from_leq
 from strategies import ideal_strategy
 
 
@@ -96,8 +97,8 @@ class TestBuild:
 class TestJoinMeet:
     def test_fig3_join_to_top(self, fig3_lattice):
         lat = fig3_lattice.lattice
-        x123 = lat.index_of_label("x1*x2*x3")
-        x456 = lat.index_of_label("x4*x5*x6")
+        x123 = lat.labels.index("x1*x2*x3")
+        x456 = lat.labels.index("x4*x5*x6")
         assert lat.join(x123, x456) == lat.top
 
     def test_bottom_identity(self, fig3_lattice):
@@ -113,10 +114,10 @@ class TestJoinMeet:
 
     def test_fig3_meets(self, fig3_lattice):
         lat = fig3_lattice.lattice
-        x456 = lat.index_of_label("x4*x5*x6")
-        x1234 = lat.index_of_label("x1*x2*x3*x4")
-        x23456 = lat.index_of_label("x2*x3*x4*x5*x6")
-        x234 = lat.index_of_label("x2*x3*x4")
+        x456 = lat.labels.index("x4*x5*x6")
+        x1234 = lat.labels.index("x1*x2*x3*x4")
+        x23456 = lat.labels.index("x2*x3*x4*x5*x6")
+        x234 = lat.labels.index("x2*x3*x4")
         assert lat.meet(x456, x1234) == 0
         assert lat.meet(x1234, x23456) == x234
 
@@ -148,7 +149,7 @@ class TestInterval:
 
     def test_p4_upper_interval_is_chain(self, p4_lattice):
         lat = p4_lattice.lattice
-        x12 = lat.index_of_label("x1*x2")
+        x12 = lat.labels.index("x1*x2")
         sub, idx = interval(lat, x12, lat.top)
         assert sub.size == 3
         assert [lat.labels[i] for i in idx] == [
@@ -195,7 +196,7 @@ class TestProduct:
 
     def test_default_cap_refuses_just_past_it_before_allocating(self):
         L1, L2 = chain_lattice(37), chain_lattice(173)
-        assert L1.size * L2.size == lattice.DEFAULT_MAX_PRODUCT + 1
+        assert L1.size * L2.size == lattice.MAX_PRODUCT + 1
         tracemalloc.start()
         try:
             with pytest.raises(SizeLimitError, match="product size 6401 exceeds the cap 6400"):
@@ -213,7 +214,7 @@ class TestProduct:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / P.size**2 * lattice.DEFAULT_MAX_PRODUCT**2 < 1e9
+        assert peak / P.size**2 * lattice.MAX_PRODUCT**2 < 1e9
 
     def test_tables_are_the_peak(self):
         # the int32 join/meet are 8 bytes per cell; no wider temporary of
@@ -236,7 +237,7 @@ class TestBooleanLattice:
         assert boolean_lattice(r).size == size
 
     def test_default_rank_cap_follows_the_element_cap(self):
-        # 2^13 = 8192 elements pass DEFAULT_MAX_ELEMENTS = 6000; refused
+        # 2^13 = 8192 elements pass MAX_ELEMENTS = 6000; refused
         # before the two 8192^2 int32 tables exist
         with pytest.raises(SizeLimitError, match="rank 13 exceeds the cap 12$"):
             boolean_lattice(13)
@@ -249,6 +250,20 @@ class TestChainLattice:
     def test_size_cap(self):
         with pytest.raises(SizeLimitError, match="chain size 6001 exceeds the cap 6000$"):
             chain_lattice(6001)
+
+
+class TestFiveElementLattices:
+    @pytest.mark.parametrize("literal,covers,labels", [
+        (pentagon_lattice, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)], ("0", "x", "y", "a", "1")),
+        (diamond_lattice, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
+         ("0", "a", "b", "c", "1")),
+    ])
+    def test_literal_tables_equal_the_reference_build(self, literal, covers, labels):
+        L, ref = literal(), from_covers(5, covers, labels)
+        for table in ("join_table", "meet_table"):
+            assert getattr(L, table).dtype == np.int32
+            assert np.array_equal(getattr(L, table), getattr(ref, table))
+        assert L.labels == ref.labels == labels
 
 
 class TestHasse:
@@ -480,7 +495,7 @@ class TestClosureOracle:
         exps = np.array(expected, dtype=np.int64)
         divides = (exps[:, None, :] <= exps[None, :, :]).all(axis=2)
         assert np.array_equal(L.lattice.leq, divides)
-        ref = FiniteLattice.from_leq(divides)
+        ref = from_leq(divides)
         assert np.array_equal(L.lattice.join_table, ref.join_table)
         assert np.array_equal(L.lattice.meet_table, ref.meet_table)
         assert L.atom_indices == tuple(expected.index(g) for g in I.generators)
@@ -575,12 +590,13 @@ class TestClosureOracle:
         # a 12-edge matching holds 2^k distinct rows after round k, so a cap
         # of 100 is passed in round 7 and the last 5 generators go unread
         I = edge_ideal(Hypergraph.make(24, [{2 * i + 1, 2 * i + 2} for i in range(12)]))
+        monkeypatch.setattr(lattice, "MAX_ELEMENTS", 100)
         rounds = []
         maximum = np.maximum
         monkeypatch.setattr(lattice.np, "maximum",
                             lambda *args: rounds.append(len(args[0])) or maximum(*args))
         with pytest.raises(SizeLimitError, match="lattice exceeds the element cap 100$"):
-            build_lcm_lattice(I, max_elements=100)
+            build_lcm_lattice(I)
         assert rounds == [1, 2, 4, 8, 16, 32, 64]
 
     def test_cell_cap_refuses_in_the_round_it_is_passed(self, monkeypatch):
@@ -610,9 +626,15 @@ class TestClosureOracle:
     @given(ideal_strategy(4, 6, 3))
     def test_element_cap_boundary(self, I):
         size = len(enumerate_subset_lcms(I))
-        assert build_lcm_lattice(I, max_elements=size).size == size
-        with pytest.raises(SizeLimitError, match=f"lattice exceeds the element cap {size - 1}$"):
-            build_lcm_lattice(I, max_elements=size - 1)
+        # hypothesis runs the body many times per test, so each run undoes
+        # its own patch rather than use the monkeypatch fixture
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "MAX_ELEMENTS", size)
+            assert build_lcm_lattice(I).size == size
+            mp.setattr(lattice, "MAX_ELEMENTS", size - 1)
+            with pytest.raises(SizeLimitError,
+                               match=f"lattice exceeds the element cap {size - 1}$"):
+                build_lcm_lattice(I)
 
     def test_key_width_cap(self):
         n = 25
@@ -629,7 +651,7 @@ class TestClosureOracle:
         assert L.keys == _divisor_keys(I, L.elements)
         exps = np.array(L.elements, dtype=np.int64)
         divides = (exps[:, None, :] <= exps[None, :, :]).all(axis=2)
-        ref = FiniteLattice.from_leq(divides)
+        ref = from_leq(divides)
         assert np.array_equal(L.lattice.leq, divides)
         assert np.array_equal(L.lattice.join_table, ref.join_table)
         assert np.array_equal(L.lattice.meet_table, ref.meet_table)
@@ -706,7 +728,7 @@ class TestElementCap:
         # peak bytes per table cell of building and checking lattices past
         # SWEEP_LIMIT (the tables plus the searches' n x n key temporaries),
         # scaled to the cap; nothing of the cap's size is built
-        assert lattice.DEFAULT_MAX_ELEMENTS >= 1 << 12  # a 12-edge matching builds
+        assert lattice.MAX_ELEMENTS >= 1 << 12  # a 12-edge matching builds
         edge, m3, p4 = [(1, 1)], [(1, 1, 0), (0, 1, 1), (1, 0, 1)], [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)]
         for blocks in ([edge] * 9, [edge] * 6 + [p4], [m3] * 3 + [edge] * 2):
             tracemalloc.start()
@@ -717,7 +739,7 @@ class TestElementCap:
             finally:
                 tracemalloc.stop()
             assert L.size > SWEEP_LIMIT
-            assert peak / L.size**2 * lattice.DEFAULT_MAX_ELEMENTS**2 < 1e9
+            assert peak / L.size**2 * lattice.MAX_ELEMENTS**2 < 1e9
 
     def test_default_cap_refuses_past_it_before_allocating(self):
         # 2 * 7 * 16 * 29 = 6496 elements from 16 generators; the tables alone
@@ -791,8 +813,8 @@ def _built_with_their_orders():
     sub, original = interval(whole, 1, whole.size - 3)
     cases.append((sub, whole.leq[np.ix_(original, original)]))
     # the tests' reference builder, with labels and without
-    cases.append((FiniteLattice.from_leq(subsets, [f"s{i}" for i in range(16)]), subsets))
-    cases.append((FiniteLattice.from_leq(chain), chain))
+    cases.append((from_leq(subsets, [f"s{i}" for i in range(16)]), subsets))
+    cases.append((from_leq(chain), chain))
     return cases
 
 
@@ -814,7 +836,7 @@ class TestDerivedOrder:
 
     @pytest.mark.parametrize("L,_", _built_with_their_orders())
     def test_label_agrees_with_labels(self, L, _):
-        assert [L.label(i) for i in range(L.size)] == list(L.labels)
+        assert [L.names(i) for i in range(L.size)] == list(L.labels)
 
     def test_product_renders_no_factor_label_until_one_is_read(self):
         rendered = []
@@ -825,7 +847,7 @@ class TestDerivedOrder:
 
         P = product(counting(boolean_lattice(3)), counting(chain_lattice(4)))
         assert not rendered
-        assert P.label(13) == "(3,1)"
+        assert P.names(13) == "(3,1)"
         assert rendered == [3, 1]
 
 

@@ -307,17 +307,17 @@ class TestDistributive:
 class TestComplements:
     def test_fig5_element_13(self, fig5_lattice):
         lat = fig5_lattice.lattice
-        comp = complements_of(lat, lat.index_of_label("x1*x3"))
+        comp = complements_of(lat, lat.labels.index("x1*x3"))
         # the known pair (13, 24) plus 124, which also meets at 0 and joins at 1
         labels = {lat.labels[i] for i in comp}
         assert "x2*x4" in labels
         for i in comp:
-            assert lat.meet(lat.index_of_label("x1*x3"), i) == 0
-            assert lat.join(lat.index_of_label("x1*x3"), i) == lat.top
+            assert lat.meet(lat.labels.index("x1*x3"), i) == 0
+            assert lat.join(lat.labels.index("x1*x3"), i) == lat.top
 
     def test_fig5_element_12_has_none(self, fig5_lattice):
         lat = fig5_lattice.lattice
-        assert complements_of(lat, lat.index_of_label("x1*x2")) == []
+        assert complements_of(lat, lat.labels.index("x1*x2")) == []
 
     def test_bottom_complements_top(self, fig3_lattice):
         lat = fig3_lattice.lattice
@@ -381,7 +381,7 @@ class TestRelativelyComplemented:
         assert sub.size == 3
         assert not is_complemented(sub).holds
         # the specific interval from the theorem's proof also fails
-        above_12, _ = interval(lat, lat.index_of_label("x1*x2"), lat.top)
+        above_12, _ = interval(lat, lat.labels.index("x1*x2"), lat.top)
         assert not is_complemented(above_12).holds
 
     def test_boolean(self):
