@@ -2,7 +2,9 @@
 
 Runs a fixed list of commands (build json and dot, check with every
 property, conditions, polarize, build and check of two 16-generator
-ideals with few elements, product, iso (also of two edge ideals with
+ideals with few elements, check of the Boolean and modular properties on
+a 10-edge star in a 4096-variable ring, polarize of a 299-generator
+staircase, product, iso (also of two edge ideals with
 many automorphisms against relabeled copies), a default audit of every
 theorem, the sampled ideal audits for seeds 1, 2 and 9, the bench's two
 seeded ideal audits at seed 41 (n from 1, so they draw one-variable
@@ -64,6 +66,11 @@ ISO_HYPERGRAPHS = {
     # M3 x B6: the triangle plus six disjoint edges, 320 elements
     "m3xb6": (15, [[1, 2], [1, 3], [2, 3]] + [[4 + 2 * i, 5 + 2 * i] for i in range(6)]),
 }
+# the star x_i*x_11, i <= 10, in a 4096-variable ring: a Boolean lattice of
+# 1024 wide elements
+STAR10_IDEAL = "ring 4096\n" + "".join(f"x{i}*x11\n" for i in range(1, 11))
+# x1^a*x2^(300-a), 0 < a < 300: 299 generators polarized into 598 slots
+STAIRCASE300_IDEAL = "ring 2\n" + "".join(f"x1^{a}*x2^{300 - a}\n" for a in range(1, 300))
 # x1^65536*x2, x2^65536*x3, ..., x5^65536*x1: 327,680 polarized variables
 CAP5_IDEAL = "ring 5\n" + "".join(f"x{i}^65536*x{i % 5 + 1}\n" for i in range(1, 6))
 PROPERTIES = ["all", "boolean", "modular", "distributive", "complemented",
@@ -113,6 +120,12 @@ def commands(fx: Path) -> tuple:
         path.write_text(text)
         same.append(["build", "--ideal", path])
         same.append(["check", "--ideal", path, "--property", "all"])
+    star10 = fx / "star10.ideal"
+    star10.write_text(STAR10_IDEAL)
+    same.extend(["check", "--ideal", star10, "--property", p] for p in ("boolean", "modular"))
+    staircase300 = fx / "staircase300.ideal"
+    staircase300.write_text(STAIRCASE300_IDEAL)
+    same.append(["polarize", "--ideal", staircase300])
     cap5 = fx / "cap5.ideal"
     cap5.write_text(CAP5_IDEAL)
     same.append(["polarize", "--ideal", cap5])

@@ -106,13 +106,23 @@ def _heights(leq):
     """1 + h(x) for every x, h(x) the length of the longest chain from the
     bottom up to x; the 1 cancels in the valuation identity.
 
-    x < y has the smaller down-set, so sorting by down-set size gives a
-    linear extension whatever the index order. In it h(x) is final when x
-    is reached, and x pushes h(x) + 1 to itself and every element above it.
+    Level by level (Kahn's layering of the order): pending[y] counts the
+    elements x <= y without a level, y itself included. Each round gives
+    the next level to the elements whose only pending element is
+    themselves, as every element below them already has a smaller level,
+    and takes their rows off pending. So an element's level is one more
+    than the highest below it, 1 + h(x). Each row is summed once, n^2 in
+    all, in height + 1 rounds of numpy calls, not n.
     """
     h = np.zeros(leq.shape[0], dtype=np.int32)
-    for x in np.argsort(leq.sum(axis=0)):
-        np.maximum(h, leq[x] * (h[x] + 1), out=h)
+    pending = leq.sum(axis=0)
+    ready = np.flatnonzero(pending == 1)
+    level = 0
+    while len(ready):
+        level += 1
+        h[ready] = level
+        pending -= leq[ready].sum(axis=0)
+        ready = np.flatnonzero(pending == 1)
     return h
 
 

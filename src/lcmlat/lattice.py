@@ -152,7 +152,7 @@ class FiniteLattice:
         return {
             "elements": list(self.labels),
             "atoms": [b for a, b in covers if a == bot],
-            "covers": [list(e) for e in covers],
+            "covers": covers,  # json writes each pair as an array
         }
 
 
@@ -434,7 +434,8 @@ def _interval_sizes(L: FiniteLattice) -> np.ndarray:
 
 def hasse_edges(L: FiniteLattice):
     """Cover pairs (a, b) in row-major order: the 2-element intervals [a, b]."""
-    return list(map(tuple, np.argwhere(_interval_sizes(L) == 2).tolist()))
+    below, above = np.nonzero(_interval_sizes(L) == 2)
+    return list(zip(below.tolist(), above.tolist()))
 
 
 def _refine_invariants(L: FiniteLattice):

@@ -84,13 +84,8 @@ def subset_lcms(gens, n: int):
 
 def monomial_str(m: Monomial) -> str:
     """Render as e.g. 'x1^2*x2'; the unit renders as '1'."""
-    parts = []
-    for i, e in enumerate(m):
-        if e == 1:
-            parts.append(f"x{i + 1}")
-        elif e > 1:
-            parts.append(f"x{i + 1}^{e}")
-    return "*".join(parts) if parts else "1"
+    return "*".join([f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+                     for i, e in enumerate(m) if e]) or "1"
 
 
 def parse_monomial(text: str, n: int) -> Monomial:
@@ -164,6 +159,18 @@ class MonomialIdeal:
                 raise ValueError(
                     f"generating set not minimal: {monomial_str(g)} vs {monomial_str(h)}"
                 )
+
+    @classmethod
+    def _minimal(cls, ring_dimension: int, generators: tuple) -> "MonomialIdeal":
+        """An ideal of generators that are valid and minimal by construction
+        (edge_ideal, polarize). Only the emptiness check runs: the exponent
+        checks and __post_init__'s O(m^2 n) pairwise re-check are skipped."""
+        if not generators:
+            raise ValueError("ideal needs at least one generator")
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "ring_dimension", ring_dimension)
+        object.__setattr__(ideal, "generators", generators)
+        return ideal
 
     @classmethod
     def make(cls, ring_dimension: int, gens) -> "MonomialIdeal":
@@ -249,8 +256,9 @@ def edge_ideal(H: Hypergraph) -> MonomialIdeal:
         for v in e:
             exps[v - 1] = 1
         gens.append(tuple(exps))
-    # containment-free edges guarantee minimality already
-    return MonomialIdeal(H.vertex_count, tuple(gens))
+    # containment-free nonempty edges give distinct, minimal, non-unit
+    # 0/1 generators
+    return MonomialIdeal._minimal(H.vertex_count, tuple(gens))
 
 
 @dataclass(frozen=True)
@@ -276,6 +284,9 @@ def polarize(I: MonomialIdeal):
     """Expand each exponent into distinct square-free slot variables.
 
     Returns the polarized (square-free) ideal together with the slot map.
+    Polarization keeps divisibility both ways (Herzog and Hibi, Monomial
+    Ideals, GTM 260, section 1.6), so the polarized generators of a minimal
+    set are minimal and are not checked again.
     """
     slot_counts = tuple(map(max, zip(*I.generators)))
     pmap = PolarizationMap(I.ring_dimension, slot_counts)
@@ -287,7 +298,7 @@ def polarize(I: MonomialIdeal):
         for start, e in zip(starts, g):
             exps[start : start + e] = [1] * e
         gens.append(tuple(exps))
-    return MonomialIdeal(pmap.target_dimension, tuple(gens)), pmap
+    return MonomialIdeal._minimal(pmap.target_dimension, tuple(gens)), pmap
 
 
 # --- file formats -----------------------------------------------------------

@@ -85,6 +85,16 @@ def _diamond_search_loops(join, meet, leq):
     return best
 
 
+def _heights_per_element(leq):
+    """1 + the longest chain from the bottom, one element at a time: sorting
+    by down-set size gives a linear extension, where h(x) is final when x is
+    reached, and x pushes h(x) + 1 to itself and every element above it."""
+    h = np.zeros(leq.shape[0], dtype=np.int32)
+    for x in np.argsort(leq.sum(axis=0)):
+        np.maximum(h, leq[x] * (h[x] + 1), out=h)
+    return h
+
+
 def _permuted(L, new):
     """L with element i renumbered new[i]."""
     new = np.asarray(new)
@@ -232,6 +242,21 @@ def test_join_irreducibles_by_definition(lattice, monkeypatch):
     # the join table is counted in row blocks: one row each past 8 elements
     monkeypatch.setattr("lcmlat.lattice.BLOCK_BYTES", 64)
     assert kernels._join_irreducibles(lattice.join_table, lattice.leq).tolist() == expected
+
+
+# built inside the test, so B12's 144 MB of tables live for one test only
+_LARGE = {
+    "chain1500": lambda: chain_lattice(1500),
+    "boolean12": lambda: boolean_lattice(12),
+    "M3xB6": lambda: product(diamond_lattice(), boolean_lattice(6)),
+}
+
+
+@pytest.mark.parametrize("make", [*(lambda L=L: L for _, L in _SAMPLES), *_LARGE.values()],
+                         ids=[*(i for i, _ in _SAMPLES), *_LARGE])
+def test_heights_by_levels_match_the_per_element_oracle(make):
+    leq = make().leq
+    assert kernels._heights(leq).tolist() == _heights_per_element(leq).tolist()
 
 
 def test_distributive_lattice_holds_no_key_table():

@@ -1,8 +1,9 @@
+import time
 import tracemalloc
 from itertools import accumulate
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcmlat.monomials import (
@@ -24,6 +25,7 @@ from lcmlat.monomials import (
     subset_lcms,
     unit,
 )
+from strategies import exhaustive_hypergraphs, ideal_strategy
 
 monomials = st.integers(1, 5).flatmap(
     lambda n: st.tuples(*[st.integers(0, 6)] * n)
@@ -132,6 +134,53 @@ class TestEdgeIdeal:
     def test_single_edge(self):
         I = edge_ideal(Hypergraph.make(2, [{1, 2}]))
         assert I.generator_strings() == ["x1*x2"]
+
+
+def _rechecked(I):
+    """I rebuilt by the public constructor, which runs every check."""
+    return MonomialIdeal(I.ring_dimension, I.generators)
+
+
+class TestMinimalByConstruction:
+    """edge_ideal and polarize skip the constructor's checks; their outputs
+    pass them all."""
+
+    def test_exhaustive_streams(self):
+        for H in exhaustive_hypergraphs():
+            I = edge_ideal(H)
+            assert _rechecked(I) == I
+            Ip = polarize(I)[0]
+            assert _rechecked(Ip) == Ip
+
+    @settings(max_examples=200, deadline=None)
+    @given(ideal_strategy(5, 7, 4))
+    def test_polarize_hypothesis_ideals(self, I):
+        Ip = polarize(I)[0]
+        assert _rechecked(Ip) == Ip
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.lists(
+        st.frozensets(st.integers(1, n), min_size=1), min_size=1, max_size=8,
+        unique=True).map(lambda edges: (n, edges))))
+    def test_edge_ideal_hypothesis_hypergraphs(self, drawn):
+        n, edges = drawn
+        antichain = [e for e in edges if not any(f < e for f in edges)]
+        I = edge_ideal(Hypergraph.make(n, antichain))
+        Ip = polarize(I)[0]
+        assert _rechecked(I) == I and _rechecked(Ip) == Ip
+
+    def test_no_edges_is_refused(self):
+        with pytest.raises(ValueError, match="at least one generator"):
+            edge_ideal(Hypergraph.make(3, []))
+
+    def test_polarize_wide_staircase_in_under_a_second(self):
+        # x1^a*x2^(1000-a), 0 < a < 1000: 999 generators in 1998 slots; the
+        # pairwise re-check alone would compare 498,501 pairs of 1998 slots
+        I = MonomialIdeal(2, tuple((a, 1000 - a) for a in range(1, 1000)))
+        start = time.perf_counter()
+        Ip, pmap = polarize(I)
+        assert time.perf_counter() - start < 1.0
+        assert (Ip.ring_dimension, len(Ip.generators)) == (1998, 999)
 
 
 class TestHypergraph:

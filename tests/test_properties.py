@@ -12,11 +12,20 @@ from lcmlat.lattice import (
     build_lcm_lattice,
     chain_lattice,
     diamond_lattice,
+    enumerate_subset_lcms,
     interval,
     pentagon_lattice,
     product,
 )
-from lcmlat.monomials import Hypergraph, MonomialIdeal, edge_ideal, lcm, monomial_str, unit
+from lcmlat.monomials import (
+    Hypergraph,
+    MonomialIdeal,
+    edge_ideal,
+    lcm,
+    monomial_str,
+    subset_lcms,
+    unit,
+)
 from lcmlat.properties import (
     PROPERTIES,
     PropertyVerdict,
@@ -31,7 +40,7 @@ from lcmlat.properties import (
     is_modular,
     is_relatively_complemented,
 )
-from strategies import ideal_strategy
+from strategies import exhaustive_hypergraphs, ideal_strategy
 
 
 def _edge_ideal_strategy(n_max=6, m_max=6):
@@ -134,6 +143,88 @@ class TestBoolean:
         report = audit.audit_instance("boolean", Hypergraph.make(6, edges))
         assert report.agree
         assert len(built) == 1 and "lattice" not in vars(built[0])
+
+
+def _boolean_by_full_scan(I):
+    return len(enumerate_subset_lcms(I)) == 1 << len(I.generators)
+
+
+def _staircase(g):
+    """x1^i*x2^(g-1-i) for i < g: Boolean at g = 2 only."""
+    return MonomialIdeal(2, tuple((i, g - 1 - i) for i in range(g)))
+
+
+def _star(edges, ring):
+    """x_i*x_(edges+1) for i <= edges in `ring` variables: Boolean, every
+    edge's private vertex x_i."""
+    return MonomialIdeal(ring, tuple(
+        tuple(int(v in (i, edges)) for v in range(ring)) for i in range(edges)))
+
+
+class TestGeneratorCertificate:
+    """properties._independent (no generator divides the lcm of the others)
+    against the full subset scan (all 2^m subset lcms distinct)."""
+
+    def test_exhaustive_boolean_and_modular_streams(self):
+        for H in exhaustive_hypergraphs("boolean", "modular"):
+            I = edge_ideal(H)
+            assert properties._independent(I.generators) is _boolean_by_full_scan(I), H
+
+    @settings(max_examples=300, deadline=None)
+    @given(ideal_strategy(5, 8, 3))
+    def test_hypothesis_ideals(self, I):
+        assert properties._independent(I.generators) is _boolean_by_full_scan(I)
+
+    @pytest.mark.parametrize("g", range(2, 25))
+    def test_staircases(self, g):
+        # the full scan is 2^g lcms; past 16 generators the collision scan,
+        # which stops at the first repeat, stands in for it
+        I = _staircase(g)
+        scan = (_boolean_by_full_scan(I) if g <= 16
+                else properties._first_lcm_collision(I.generators, 2) is None)
+        assert properties._independent(I.generators) is scan is (g == 2)
+
+    def test_ten_edge_star_in_a_wide_ring(self):
+        I = _star(10, 4096)
+        assert properties._independent(I.generators) is _boolean_by_full_scan(I) is True
+        assert is_boolean(build_lcm_lattice(I)).holds
+
+
+class TestBooleanScanCalls:
+    """A Boolean verdict runs no subset scan; any other runs one, a single
+    subset_lcms call read up to the first repeated lcm."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+
+        def counting(gens, n):
+            calls.append([0])
+            for pair in subset_lcms(gens, n):
+                calls[-1][0] += 1
+                yield pair
+
+        monkeypatch.setattr(properties, "subset_lcms", counting)
+        return calls
+
+    @pytest.mark.parametrize("I", [
+        _star(10, 4096), _staircase(2),
+        edge_ideal(Hypergraph.make(8, [{1, 2}, {3, 4}, {5, 6}, {7, 8}])),
+    ], ids=["star10", "staircase2", "matching4"])
+    def test_boolean_runs_no_scan(self, I, reads):
+        assert is_boolean(build_lcm_lattice(I)).holds
+        assert reads == []
+
+    @pytest.mark.parametrize("I", [
+        _staircase(3), _staircase(16), _staircase(24),
+        edge_ideal(Hypergraph.make(6, [{1, 2, 3}, {2, 3, 4}, {4, 5, 6}])),
+        edge_ideal(Hypergraph.make(3, [{1, 2}, {1, 3}, {2, 3}])),
+    ], ids=["staircase3", "staircase16", "staircase24", "fig3", "triangle"])
+    def test_non_boolean_scans_to_the_first_repeat(self, I, reads):
+        verdict = is_boolean(build_lcm_lattice(I))
+        assert not verdict.holds
+        repeat = sum(1 << (i - 1) for i in verdict.witness["subset_a"])
+        assert reads == [[repeat + 1]]
 
 
 def _first_collision_from_scratch(L):
