@@ -8,13 +8,15 @@ staircase, product, iso (also of two edge ideals with
 many automorphisms against relabeled copies), a default audit of every
 theorem, the sampled ideal audits for seeds 1, 2 and 9, the bench's two
 seeded ideal audits at seed 41 (n from 1, so they draw one-variable
-ideals), three sampled hypergraph audits, an unknown theorem, and polarize of a 5-variable ideal at
-the exponent cap) against each tree's `src/` and compares stdout, stderr and
-exit code. Then it runs a list of refusals (malformed input files, output
-paths that cannot be written, staircases of 20 and 25 generators, one
-inside the generator limit of 24 and one past it, and the removed cap flag
-`--max-lattice` on `check` and `build`) and prints both trees' exit code
-and stderr, since a refusal may change on purpose.
+ideals), three sampled hypergraph audits, and polarize of a 5-variable ideal
+at the exponent cap) against each tree's `src/` and compares stdout, stderr
+and exit code. Then it runs a list of refusals (malformed input files,
+output paths that cannot be written, staircases of 20 and 25 generators,
+one inside the generator limit of 24 and one past it, the removed cap flag
+`--max-lattice` on `check` and `build`, bad flags and values, and polarize
+past its ring cap) and prints both trees' exit code and stderr, since a
+refusal may change on purpose. Polarize past its cell cap runs on the new
+tree only: a tree without that cap writes all of its 2^25 cells.
 
     mkdir ../parent && git archive <parent commit> | tar -x -C ../parent
     python scripts/cli_bytecheck.py ../parent .
@@ -156,9 +158,6 @@ def commands(fx: Path) -> tuple:
                  "--n", "5..8", "--m", "4..9"])
     same.append(["audit", "--theorem", "hypergraph-complemented", "--seed", "4",
                  "--n", "6..8", "--k", "2..4", "--m", "3..6"])
-    # argparse's error lists THEOREMS
-    same.append(["audit", "--theorem", "bogus"])
-
     malformed = []
     for name, text in MALFORMED_HYPERGRAPHS.items():
         path = fx / f"bad_{name}.json"
@@ -183,7 +182,22 @@ def commands(fx: Path) -> tuple:
     # every cap is a module constant, so a cap flag is an unknown argument
     malformed.append(["check", "--max-lattice", "5", "--ideal", ideal["b2"]])
     malformed.append(["build", "--max-lattice", "100000", "--hypergraph", hg["matching10"]])
-    return same, malformed
+    # argument errors: an invalid choice, a missing flag, a value of the wrong type
+    malformed.append(["audit", "--theorem", "bogus"])
+    malformed.append(["check", "--ideal", ideal["b2"], "--property", "bogus"])
+    malformed.append(["audit", "--count", "100"])
+    malformed.append(["audit", "--theorem", "boolean", "--count", "x"])
+    # one generator x1^65536*...*x17^65536: 17 * 65536 polarized variables,
+    # over the ring cap 2^20
+    ring17 = fx / "ring17.ideal"
+    ring17.write_text("ring 17\n" + "*".join(f"x{i}^65536" for i in range(1, 18)) + "\n")
+    malformed.append(["polarize", "--ideal", ring17])
+    # x_i^65536 for i <= 16 and 17 of x1^a*x2^(65536-a): 33 generators x 2^20
+    # polarized variables, over the cell cap 2^25
+    cells33 = fx / "cells33.ideal"
+    cells33.write_text("ring 16\n" + "".join(f"x{i}^65536\n" for i in range(1, 17))
+                       + "".join(f"x1^{a}*x2^{65536 - a}\n" for a in range(1, 18)))
+    return same, malformed, [["polarize", "--ideal", cells33]]
 
 
 def run(tree: str, argv: list) -> tuple:
@@ -196,7 +210,7 @@ def run(tree: str, argv: list) -> tuple:
 def main() -> int:
     old, new = sys.argv[1], sys.argv[2]
     with tempfile.TemporaryDirectory() as tmp:
-        same, malformed = commands(Path(tmp))
+        same, malformed, new_only = commands(Path(tmp))
         differing = 0
         for argv in same:
             a, b = run(old, argv), run(new, argv)
@@ -208,6 +222,9 @@ def main() -> int:
             a, b = run(old, argv), run(new, argv)
             print(argv[0], Path(argv[-1]).name, "| old", a[0], a[2].decode().strip()[-160:],
                   "| new", b[0], b[2].decode().strip())
+        for argv in new_only:
+            b = run(new, argv)
+            print(argv[0], Path(argv[-1]).name, "| new", b[0], b[2].decode().strip())
     return 1 if differing else 0
 
 

@@ -4,9 +4,7 @@ from .monomials import (
     Hypergraph,
     MonomialIdeal,
     PolarizationMap,
-    divides,
     edge_ideal,
-    lcm,
     minimalize,
     monomial_str,
     parse_monomial,

@@ -225,7 +225,9 @@ def random_monomial_ideal(cfg: GeneratorConfig, rng: SplitMix64 | None = None) -
     top_up()
     for rounds_done in range(_REDRAW_LIMIT):
         if len(gens) >= m:
-            return MonomialIdeal(n, tuple(gens))
+            # insert_minimal keeps gens a non-unit antichain, and
+            # _instances_for keeps cfg.max_exponent within MAX_EXPONENT
+            return MonomialIdeal._minimal(n, tuple(gens))
         if len(gens) == n and all(sum(g) == 1 for g in gens):
             need = (_REDRAW_LIMIT - rounds_done) * (m - n)
             while need:
@@ -249,10 +251,6 @@ def _describe_hypergraph(H: Hypergraph) -> dict:
 def _describe_ideal(I: MonomialIdeal) -> dict:
     return {"type": "ideal", "ring": I.ring_dimension,
             "generators": I.generator_strings()}
-
-
-def _describe_pair(name1: str, name2: str) -> dict:
-    return {"type": "lattice-pair", "left": name1, "right": name2}
 
 
 # --- per-theorem audits -------------------------------------------------------
@@ -279,8 +277,8 @@ def audit_instance(theorem: str, instance) -> AuditReport:
             and properties.is_complemented(L2).holds
         )
         verdict = properties.is_complemented(product(L1, L2))
-        return _report(theorem, _describe_pair(name1, name2), predicted,
-                       verdict.holds, None, verdict.witness)
+        return _report(theorem, {"type": "lattice-pair", "left": name1, "right": name2},
+                       predicted, verdict.holds, None, verdict.witness)
 
     if theorem == "polarization-iso":
         I = instance
@@ -380,8 +378,10 @@ def _check_sample_count(cfg: GeneratorConfig) -> None:
         raise ValueError(f"a sampled audit needs count >= 1; got count {cfg.count}")
 
 
-def _instances_for(theorem: str, cfg: GeneratorConfig, exhaustive: bool | None):
-    """Yield the theorem's instances in a deterministic order."""
+def _instances_for(theorem: str, cfg: GeneratorConfig, exhaustive: bool = False):
+    """Yield the theorem's instances in a deterministic order. A hypergraph
+    stream is enumerated if exhaustive is set or its space has at most
+    EXHAUSTIVE_THRESHOLD members, and sampled otherwise."""
     graph_only = theorem in GRAPH_THEOREMS
     if theorem == "product-complemented":
         yield from iproduct(small_lattice_pool(), repeat=2)
@@ -428,7 +428,7 @@ def _instances_for(theorem: str, cfg: GeneratorConfig, exhaustive: bool | None):
             emitted += 1
         return
 
-    if exhaustive is None:
+    if not exhaustive:
         space = sum(math.comb(math.comb(n, k), m) for n, k, m in _cells(cfg, graph_only))
         exhaustive = space <= EXHAUSTIVE_THRESHOLD
     if exhaustive:
@@ -470,7 +470,7 @@ def _minimality_key(report: AuditReport):
 def audit_batch(
     theorem: str,
     cfg: GeneratorConfig,
-    exhaustive: bool | None = None,
+    exhaustive: bool = False,
     counterexample_dir: str | None = None,
 ):
     """Run audit_instance over the whole instance stream.

@@ -2,8 +2,8 @@
 
 Results go to stdout as JSON (or DOT for `build --format dot`); all
 diagnostics go to stderr. Exit codes: 0 success, 1 property false under
---assert, 2 input or validation errors, 3 internal error (one JSON line
-naming the exception type on stderr).
+--assert, 2 argument, input or validation errors (one JSON line on stderr),
+3 internal error (one JSON line naming the exception type on stderr).
 """
 
 from __future__ import annotations
@@ -36,6 +36,15 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise CliError, so a bad flag or value
+    exits 2 with one JSON line like any other input error. Its subparsers
+    are of the same class."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def _parse_range(text: str) -> tuple:
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -52,7 +61,7 @@ def _parse_range(text: str) -> tuple:
 
 @cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lcmlat", description=__doc__)
+    parser = _Parser(prog="lcmlat", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_input_flags(p, two_ideals=False):
@@ -106,11 +115,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_lattice(args):
-    if getattr(args, "ideal", None) and getattr(args, "hypergraph", None):
+    if args.ideal and args.hypergraph:
         raise CliError("--ideal and --hypergraph are mutually exclusive")
-    if getattr(args, "ideal", None):
+    if args.ideal:
         I = _read(args.ideal, parse_ideal_text)
-    elif getattr(args, "hypergraph", None):
+    elif args.hypergraph:
         I = edge_ideal(_read(args.hypergraph, parse_hypergraph_json))
     else:
         raise CliError("one of --ideal or --hypergraph is required")
@@ -128,7 +137,7 @@ def _read(path: str, parse):
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         try:
             Path(args.out).write_text(text)
         except OSError as exc:
@@ -160,7 +169,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_conditions(args) -> int:
-    if not getattr(args, "hypergraph", None):
+    if not args.hypergraph:
         raise CliError("conditions needs --hypergraph")
     H = _read(args.hypergraph, parse_hypergraph_json)
     verdicts = [conditions.private_vertex_check(H),
@@ -177,7 +186,7 @@ def _cmd_conditions(args) -> int:
 
 
 def _cmd_polarize(args) -> int:
-    if not getattr(args, "ideal", None):
+    if not args.ideal:
         raise CliError("polarize needs --ideal")
     I = _read(args.ideal, parse_ideal_text)
     polarized, pmap = polarize(I)
@@ -233,7 +242,7 @@ def _cmd_audit(args) -> int:
     )
     summary, reports = audit_mod.audit_batch(
         args.theorem, cfg,
-        exhaustive=True if args.exhaustive else None,
+        exhaustive=args.exhaustive,
         counterexample_dir=args.counterexamples,
     )
     lines = [r.to_json_line() for r in reports]
@@ -256,14 +265,11 @@ _COMMANDS = {
 
 
 def run_cli(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed usage to stderr
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.subcommand](args)
+    except SystemExit:  # --help printed; every argparse error is a CliError
+        return 0
     except (CliError, ValueError, IndexError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2

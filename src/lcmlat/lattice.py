@@ -33,7 +33,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .monomials import MonomialIdeal, monomial_str, subset_lcms, total_degree
+from .monomials import MAX_CELLS, MonomialIdeal, monomial_str, subset_lcms, total_degree
 
 # The caps are module constants: no flag or parameter sets them, so the
 # memory bounds below hold for every caller.
@@ -56,10 +56,10 @@ MAX_PRODUCT = 6400
 # entries for m generators: m = 24 keeps it at 4 * 2^24 bytes = 64 MiB. It
 # is the only generator limit: the closure's work follows |L|, not 2^m.
 MAX_KEY_BITS = 24
-# elements x ring variables: about 16 bytes per cell through the build and
-# is_boolean's scan, and 12 in the round that passes the cap (the old rows,
-# their join, its split rows), so a refusal peaks near 0.4 GB
-MAX_CELLS = 1 << 25
+# MAX_CELLS (from monomials) caps elements x ring variables: about 16 bytes
+# per cell through the build and is_boolean's scan, and 12 in the round that
+# passes the cap (the old rows, their join, its split rows), so a refusal
+# peaks near 0.4 GB
 # rough bound on the bytes of each blocked temporary: the table fill and the
 # kernels
 BLOCK_BYTES = 1 << 20
@@ -164,7 +164,7 @@ class LcmLattice:
     on its first read and cached; later reads return the same
     FiniteLattice, which renders each label from `elements` when it is
     read. The atoms are the minimal generators, one per generator of the
-    ideal; `atom_indices` finds them among the keys on its first read.
+    ideal: the elements whose key is one generator's bit.
     """
 
     ideal: MonomialIdeal
@@ -178,12 +178,6 @@ class LcmLattice:
     @property
     def atom_count(self) -> int:
         return len(self.ideal.generators)
-
-    @cached_property
-    def atom_indices(self) -> tuple:
-        """The indices of the minimal generators, in generator order: a
-        minimal generator's key is its own bit."""
-        return tuple(map(self.keys.index, (1 << j for j in range(self.atom_count))))
 
     @cached_property
     def lattice(self) -> FiniteLattice:

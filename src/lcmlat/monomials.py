@@ -17,9 +17,12 @@ Monomial = tuple  # tuple[int, ...], exponent vector
 
 MAX_EXPONENT = 1 << 16  # keeps polarization dimensions bounded
 # the largest ring dimension (ideal files) or vertex count (hypergraph files)
-# the file readers accept; checked before any per-variable list is built. It
-# admits every ring polarize writes from 16 variables at MAX_EXPONENT.
+# the file readers accept; checked before any per-variable list is built.
+# polarize refuses a larger target ring, so every ring it writes is readable.
 MAX_RING_DIMENSION = 1 << 20
+# cells of generators (polarize's output) or of lattice elements (the
+# join-closure, see lattice) x ring variables: one cap bounds both
+MAX_CELLS = 1 << 25
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$", re.ASCII)
 
@@ -33,13 +36,6 @@ def unit(n: int) -> Monomial:
     return (0,) * n
 
 
-def _check_same_dim(m1: Monomial, m2: Monomial) -> None:
-    if len(m1) != len(m2):
-        raise DimensionMismatch(
-            f"monomials live in different rings: {len(m1)} vs {len(m2)} variables"
-        )
-
-
 def validate_monomial(m: Monomial, n: int | None = None) -> None:
     if n is not None and len(m) != n:
         raise DimensionMismatch(f"expected {n} exponents, got {len(m)}")
@@ -48,18 +44,6 @@ def validate_monomial(m: Monomial, n: int | None = None) -> None:
             raise ValueError(f"negative exponent in {m}")
         if e > MAX_EXPONENT:
             raise ValueError(f"exponent {e} exceeds the cap {MAX_EXPONENT}")
-
-
-def lcm(m1: Monomial, m2: Monomial) -> Monomial:
-    """Componentwise max; commutative, associative, idempotent, unit-identity."""
-    _check_same_dim(m1, m2)
-    return tuple(max(a, b) for a, b in zip(m1, m2))
-
-
-def divides(m1: Monomial, m2: Monomial) -> bool:
-    """True iff m1 divides m2 (every exponent of m1 <= that of m2)."""
-    _check_same_dim(m1, m2)
-    return all(a <= b for a, b in zip(m1, m2))
 
 
 def total_degree(m: Monomial) -> int:
@@ -153,7 +137,7 @@ class MonomialIdeal:
             if g == unit(self.ring_dimension):
                 raise ValueError("the unit is not a valid generator")
         # every generator has ring_dimension exponents (checked above), so
-        # divisibility is a plain componentwise <= without divides()'s check
+        # divisibility is a plain componentwise <=
         for g, h in combinations(self.generators, 2):
             if all(map(le, g, h)) or all(map(le, h, g)):
                 raise ValueError(
@@ -163,8 +147,9 @@ class MonomialIdeal:
     @classmethod
     def _minimal(cls, ring_dimension: int, generators: tuple) -> "MonomialIdeal":
         """An ideal of generators that are valid and minimal by construction
-        (edge_ideal, polarize). Only the emptiness check runs: the exponent
-        checks and __post_init__'s O(m^2 n) pairwise re-check are skipped."""
+        (make, edge_ideal, polarize, the audit's ideal sampler). Only the
+        emptiness check runs: the exponent checks and __post_init__'s
+        O(m^2 n) pairwise re-check are skipped."""
         if not generators:
             raise ValueError("ideal needs at least one generator")
         ideal = object.__new__(cls)
@@ -174,14 +159,18 @@ class MonomialIdeal:
 
     @classmethod
     def make(cls, ring_dimension: int, gens) -> "MonomialIdeal":
-        """Build an ideal from raw generators, minimalizing first."""
-        return cls(ring_dimension, tuple(minimalize(gens)))
+        """Build an ideal from raw generators, minimalizing first.
+
+        minimalize validates every generator against the first one's length
+        and returns a non-unit antichain, so only that length is checked
+        against ring_dimension here.
+        """
+        survivors = minimalize(gens)
+        validate_monomial(survivors[0], ring_dimension)
+        return cls._minimal(ring_dimension, tuple(survivors))
 
     def generator_strings(self) -> list:
         return [monomial_str(g) for g in self.generators]
-
-    def __str__(self):
-        return "(" + ", ".join(self.generator_strings()) + ")"
 
 
 @dataclass(frozen=True)
@@ -244,9 +233,6 @@ class Hypergraph:
     def sorted_edges(self) -> list:
         return sorted(tuple(sorted(e)) for e in self.edges)
 
-    def __str__(self):
-        return f"H(n={self.vertex_count}, edges={self.sorted_edges()})"
-
 
 def edge_ideal(H: Hypergraph) -> MonomialIdeal:
     """The square-free ideal with one generator per edge, support = edge."""
@@ -268,10 +254,6 @@ class PolarizationMap:
     source_dimension: int
     slot_counts: tuple  # a_i = max exponent of x_i over the generators
 
-    @property
-    def target_dimension(self) -> int:
-        return sum(self.slot_counts)
-
     def variable_names(self) -> list:
         return [
             f"x{i}_{k}"
@@ -287,18 +269,29 @@ def polarize(I: MonomialIdeal):
     Polarization keeps divisibility both ways (Herzog and Hibi, Monomial
     Ideals, GTM 260, section 1.6), so the polarized generators of a minimal
     set are minimal and are not checked again.
+
+    The target ring, the sum of the slot counts, is known before any
+    polarized generator is built: a ring over MAX_RING_DIMENSION, which no
+    file reader accepts, or generators x ring variables over MAX_CELLS is
+    refused with ValueError first.
     """
     slot_counts = tuple(map(max, zip(*I.generators)))
     pmap = PolarizationMap(I.ring_dimension, slot_counts)
     # slots of x_i start at starts[i]; exponent e sets the first e of them
     starts = tuple(accumulate(slot_counts, initial=0))
+    ring = starts[-1]
+    if ring > MAX_RING_DIMENSION:
+        raise ValueError(f"polarized ring dimension {ring} exceeds the cap {MAX_RING_DIMENSION}")
+    if len(I.generators) * ring > MAX_CELLS:
+        raise ValueError(f"polarized ideal exceeds the cell cap {MAX_CELLS}: "
+                         f"{len(I.generators)} generators x {ring} ring variables")
     gens = []
     for g in I.generators:
-        exps = [0] * starts[-1]
+        exps = [0] * ring
         for start, e in zip(starts, g):
             exps[start : start + e] = [1] * e
         gens.append(tuple(exps))
-    return MonomialIdeal._minimal(pmap.target_dimension, tuple(gens)), pmap
+    return MonomialIdeal._minimal(ring, tuple(gens)), pmap
 
 
 # --- file formats -----------------------------------------------------------

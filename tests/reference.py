@@ -1,10 +1,38 @@
-"""The tests' reference lattice builder: tables from an order matrix or from
-Hasse edges, by brute force over the upper and lower bounds of each pair.
-It shares no code with build_lcm_lattice's join-closure and table fill."""
+"""The tests' reference helpers. The lattice builder makes tables from an
+order matrix or from Hasse edges, by brute force over the upper and lower
+bounds of each pair; it shares no code with build_lcm_lattice's
+join-closure and table fill. lcm, divides and atom_indices are the
+definitions the tests compare the program against."""
 
 import numpy as np
 
 from lcmlat.lattice import FiniteLattice
+from lcmlat.monomials import DimensionMismatch
+
+
+def _check_same_dim(m1, m2) -> None:
+    if len(m1) != len(m2):
+        raise DimensionMismatch(
+            f"monomials live in different rings: {len(m1)} vs {len(m2)} variables"
+        )
+
+
+def lcm(m1, m2) -> tuple:
+    """Componentwise max; commutative, associative, idempotent, unit-identity."""
+    _check_same_dim(m1, m2)
+    return tuple(max(a, b) for a, b in zip(m1, m2))
+
+
+def divides(m1, m2) -> bool:
+    """True iff m1 divides m2 (every exponent of m1 <= that of m2)."""
+    _check_same_dim(m1, m2)
+    return all(a <= b for a, b in zip(m1, m2))
+
+
+def atom_indices(L) -> tuple:
+    """The indices in the LcmLattice L of its minimal generators, in
+    generator order: a minimal generator's key is its own bit."""
+    return tuple(map(L.keys.index, (1 << j for j in range(L.atom_count))))
 
 
 def from_leq(leq, labels=()) -> FiniteLattice:

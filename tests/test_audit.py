@@ -272,7 +272,7 @@ class TestPolarizationKeys:
     @pytest.mark.parametrize("seed, n_range, m_range, count", STREAMS)
     def test_key_match_equals_is_isomorphic(self, seed, n_range, m_range, count, monkeypatch):
         cfg = GeneratorConfig(seed=seed, n_range=n_range, m_range=m_range, count=count)
-        ideals = list(_instances_for("polarization-iso", cfg, None))
+        ideals = list(_instances_for("polarization-iso", cfg))
         calls = self.searches(monkeypatch)
         for I in ideals:
             got = audit_instance("polarization-iso", I).to_json_line()

@@ -385,6 +385,45 @@ class TestPolarize:
         assert obj["polarized"]["generators"] == ["x1*x2*x3", "x3*x4*x5"]
         assert obj["variable_names"] == ["x1_1", "x1_2", "x2_1", "x2_2", "x2_3"]
 
+    @pytest.mark.parametrize("text, message", [
+        # 17 * 65536 slots: a ring no file reader accepts
+        ("ring 17\n" + "".join(f"x{i}^65536\n" for i in range(1, 18)),
+         "polarized ring dimension 1114112 exceeds the cap 1048576"),
+        # 33 generators in the 2^20 slots of 16 variables at the exponent cap
+        ("ring 16\n" + "".join(f"x{i}^65536\n" for i in range(1, 17))
+         + "".join(f"x1^{a}*x2^{65536 - a}\n" for a in range(1, 18)),
+         "exceeds the cell cap 33554432: 33 generators x 1048576 ring variables"),
+    ], ids=["ring", "cells"])
+    def test_over_cap_exits_2(self, tmp_path, text, message):
+        p = tmp_path / "ideal.txt"
+        p.write_text(text)
+        assert_one_error_line(run_subprocess("polarize", "--ideal", str(p)), message)
+
+
+class TestArgumentErrors:
+    """A bad flag or value exits 2 with one JSON line on stderr, like any
+    other input error; --help still exits 0."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("check", "--property", "bogus"),
+         "lcmlat check: argument --property: invalid choice: 'bogus'"),
+        (("audit", "--theorem", "bogus"),
+         "lcmlat audit: argument --theorem: invalid choice: 'bogus'"),
+        (("audit",), "lcmlat audit: the following arguments are required: --theorem"),
+        (("build", "--nope"), "lcmlat: unrecognized arguments: --nope"),
+        (("audit", "--theorem", "boolean", "--count", "x"),
+         "lcmlat audit: argument --count: invalid int value: 'x'"),
+        ((), "lcmlat: the following arguments are required: subcommand"),
+    ])
+    def test_one_json_line(self, argv, message):
+        assert_one_error_line(run_subprocess(*argv), message)
+
+    @pytest.mark.parametrize("argv", [("--help",), ("audit", "--help")])
+    def test_help_exits_0(self, argv):
+        done = run_subprocess(*argv)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("usage: lcmlat")
+
 
 class TestProductIso:
     def test_iso_polarization(self, capsys, tmp_path):

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcmlat.audit import GeneratorConfig, _instances_for
 from lcmlat.monomials import (
+    MAX_CELLS,
     MAX_EXPONENT,
     MAX_RING_DIMENSION,
     DimensionMismatch,
     Hypergraph,
     MonomialIdeal,
-    divides,
     edge_ideal,
     ideal_to_text,
-    lcm,
     minimalize,
     monomial_str,
     parse_hypergraph_json,
@@ -25,6 +25,7 @@ from lcmlat.monomials import (
     subset_lcms,
     unit,
 )
+from reference import divides, lcm
 from strategies import exhaustive_hypergraphs, ideal_strategy
 
 monomials = st.integers(1, 5).flatmap(
@@ -39,6 +40,8 @@ def same_dim_triples():
 
 
 class TestLcmDivides:
+    """The tests' reference lcm and divides (tests/reference.py)."""
+
     def test_lcm_worked_example(self):
         assert lcm((2, 1), (0, 3)) == (2, 3)
 
@@ -142,8 +145,27 @@ def _rechecked(I):
 
 
 class TestMinimalByConstruction:
-    """edge_ideal and polarize skip the constructor's checks; their outputs
-    pass them all."""
+    """make, edge_ideal, polarize and the audit's ideal sampler skip the
+    constructor's checks; their outputs pass them all."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ideal_strategy(5, 7, 4))
+    def test_make_hypothesis_ideals(self, I):
+        # ideal_strategy builds each ideal with MonomialIdeal.make
+        assert _rechecked(I) == I
+
+    def test_make_keeps_the_ring_check(self):
+        with pytest.raises(DimensionMismatch, match="expected 3 exponents, got 2"):
+            MonomialIdeal.make(3, [(1, 0), (0, 1)])
+
+    # the audit-stream bench's two seeded ideal streams (seed 41, m 1..5)
+    @pytest.mark.parametrize("n_range, count", [((1, 4), 200), ((1, 5), 480)])
+    def test_sampler_bench_streams(self, n_range, count):
+        cfg = GeneratorConfig(seed=41, n_range=n_range, m_range=(1, 5), count=count)
+        ideals = list(_instances_for("birkhoff-crosscheck", cfg))
+        assert len(ideals) == count
+        for I in ideals:
+            assert _rechecked(I) == I
 
     def test_exhaustive_streams(self):
         for H in exhaustive_hypergraphs():
@@ -214,7 +236,45 @@ class TestHypergraph:
         assert peak < 1 << 20
 
 
+def _pure_powers(n: int) -> MonomialIdeal:
+    """x_i^MAX_EXPONENT for i <= n: n * MAX_EXPONENT polarized variables."""
+    return MonomialIdeal.make(n, [tuple(MAX_EXPONENT * (i == j) for i in range(n))
+                                  for j in range(n)])
+
+
 class TestPolarize:
+    def test_ring_over_cap_is_refused_before_any_generator(self):
+        # 17 * 65536 = 1,114,112 slots: no file reader accepts that ring
+        I = _pure_powers(17)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="polarized ring dimension 1114112 "
+                                                 "exceeds the cap 1048576"):
+                polarize(I)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1 << 20
+
+    def test_cells_over_cap_are_refused_before_any_generator(self):
+        # 33 generators in a ring of 16 * 65536 = 2^20 slots, the ring cap:
+        # 33 * 2^20 cells, one generator's worth over MAX_CELLS = 2^25
+        gens = _pure_powers(16).generators + tuple(
+            (a, MAX_EXPONENT - a) + (0,) * 14 for a in range(1, 18))
+        I = MonomialIdeal(16, gens)
+        assert len(I.generators) * 16 * MAX_EXPONENT == MAX_CELLS + (1 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"exceeds the cell cap {MAX_CELLS}: "
+                                                 "33 generators x 1048576 ring variables"):
+                polarize(I)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_worked_example(self):
         I = MonomialIdeal.make(2, [(2, 1), (0, 3)])
         Ip, pmap = polarize(I)

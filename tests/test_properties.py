@@ -21,7 +21,6 @@ from lcmlat.monomials import (
     Hypergraph,
     MonomialIdeal,
     edge_ideal,
-    lcm,
     monomial_str,
     subset_lcms,
     unit,
@@ -40,6 +39,7 @@ from lcmlat.properties import (
     is_modular,
     is_relatively_complemented,
 )
+from reference import atom_indices, lcm
 from strategies import exhaustive_hypergraphs, ideal_strategy
 
 
@@ -341,7 +341,7 @@ class TestForbiddenSublattices:
         assert dia is not None
         z, a, b, c, w = dia
         assert z == 0 and w == lat.top
-        assert {a, b, c} == set(triangle_lattice.atom_indices)
+        assert {a, b, c} == set(atom_indices(triangle_lattice))
 
     def test_all_properties_searches_once(self, monkeypatch):
         pentagons = _counting(monkeypatch, "pentagon_search")
