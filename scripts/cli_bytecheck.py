@@ -13,10 +13,13 @@ at the exponent cap) against each tree's `src/` and compares stdout, stderr
 and exit code. Then it runs a list of refusals (malformed input files,
 output paths that cannot be written, staircases of 20 and 25 generators,
 one inside the generator limit of 24 and one past it, the removed cap flag
-`--max-lattice` on `check` and `build`, bad flags and values, and polarize
-past its ring cap) and prints both trees' exit code and stderr, since a
-refusal may change on purpose. Polarize past its cell cap runs on the new
-tree only: a tree without that cap writes all of its 2^25 cells.
+`--max-lattice` on `check` and `build`, bad flags and values, an input
+flag that the subcommand does not read, a missing or doubled input flag,
+a malformed `--n` range, polarize past its ring cap, and `check` on a
+33-edge hypergraph in a 2^20-vertex ring, past the edge-ideal cell cap)
+and prints both trees' exit code and stderr, since a refusal may change
+on purpose. Polarize past its cell cap runs on the new tree only: a tree
+without that cap writes all of its 2^25 cells.
 
     mkdir ../parent && git archive <parent commit> | tar -x -C ../parent
     python scripts/cli_bytecheck.py ../parent .
@@ -187,6 +190,18 @@ def commands(fx: Path) -> tuple:
     malformed.append(["check", "--ideal", ideal["b2"], "--property", "bogus"])
     malformed.append(["audit", "--count", "100"])
     malformed.append(["audit", "--theorem", "boolean", "--count", "x"])
+    malformed.append(["audit", "--theorem", "boolean", "--n", "2..x"])
+    # an input flag the subcommand does not read, a missing or doubled one
+    malformed.append(["conditions", "--hypergraph", hg["p4"], "--ideal", fx / "missing.txt"])
+    malformed.append(["polarize", "--ideal", ideal["b2"], "--hypergraph", fx / "missing.json"])
+    malformed.append(["build"])
+    malformed.append(["check", "--ideal", ideal["b2"], "--hypergraph", hg["p4"]])
+    malformed.append(["conditions"])
+    malformed.append(["polarize"])
+    # 33 one-vertex edges x 2^20 vertices, over the cell cap 2^25
+    wide33 = fx / "wide33.json"
+    wide33.write_text(json.dumps({"n": 1 << 20, "edges": [[v] for v in range(1, 34)]}))
+    malformed.append(["check", "--hypergraph", wide33, "--property", "boolean"])
     # one generator x1^65536*...*x17^65536: 17 * 65536 polarized variables,
     # over the ring cap 2^20
     ring17 = fx / "ring17.ideal"

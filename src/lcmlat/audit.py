@@ -130,7 +130,7 @@ class GeneratorConfig:
 class AuditReport:
     theorem: str
     instance: dict
-    predicted: bool | str | None   # bool, "hypothesis-not-met", or None
+    predicted: bool | str   # bool or "hypothesis-not-met"
     actual: bool
     agree: bool
     prediction_evidence: dict | None = None
@@ -328,7 +328,7 @@ def audit_instance(theorem: str, instance) -> AuditReport:
 
 
 def _report(theorem, descriptor, predicted, actual, evidence, witness) -> AuditReport:
-    agree = predicted is not None and predicted != HYPOTHESIS_NOT_MET and predicted == actual
+    agree = predicted != HYPOTHESIS_NOT_MET and predicted == actual
     return AuditReport(theorem, descriptor, predicted, bool(actual), agree,
                        evidence, witness)
 

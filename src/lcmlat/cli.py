@@ -46,6 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_range(text: str) -> tuple:
+    """The argparse type of --n, --k and --m: 'a..b' or 'a' as (a, b)."""
     if ".." in text:
         lo, hi = text.split("..", 1)
     else:
@@ -53,76 +54,74 @@ def _parse_range(text: str) -> tuple:
     try:
         lo, hi = int(lo), int(hi)
     except ValueError:
-        raise CliError(f"bad range {text!r}; expected 'a..b'")
+        raise argparse.ArgumentTypeError(f"bad range {text!r}; expected 'a..b'")
     if lo > hi:
-        raise CliError(f"empty range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
 
 
 @cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes exactly the flags its _cmd_* reads."""
     parser = _Parser(prog="lcmlat", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_input_flags(p, two_ideals=False):
-        if two_ideals:
-            p.add_argument("--ideal", action="append", required=True,
-                           help="ideal file (give twice)")
-        else:
-            p.add_argument("--ideal", help="ideal file")
-            p.add_argument("--hypergraph", help="hypergraph JSON file")
-        p.add_argument("--out", help="output path (default stdout)")
+    def add_lattice_input(p):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--ideal", help="ideal file")
+        group.add_argument("--hypergraph", help="hypergraph JSON file")
 
     p = sub.add_parser("build", help="construct an lcm-lattice")
-    add_input_flags(p)
+    add_lattice_input(p)
     p.add_argument("--format", choices=("json", "dot"), default="json")
 
     p = sub.add_parser("check", help="decide lattice properties")
-    add_input_flags(p)
+    add_lattice_input(p)
     p.add_argument("--property", default="all",
                    choices=properties.PROPERTIES + ("all",))
     p.add_argument("--assert", dest="assert_mode", action="store_true",
                    help="exit 1 if any checked property is false")
 
     p = sub.add_parser("conditions", help="structural predicates on a hypergraph")
-    add_input_flags(p)
+    p.add_argument("--hypergraph", required=True, help="hypergraph JSON file")
 
     p = sub.add_parser("polarize", help="polarize a monomial ideal")
-    add_input_flags(p)
+    p.add_argument("--ideal", required=True, help="ideal file")
 
-    p = sub.add_parser("product", help="product of two lcm-lattices")
-    add_input_flags(p, two_ideals=True)
+    for name, text in (("product", "product of two lcm-lattices"),
+                       ("iso", "lattice isomorphism between two ideals")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--ideal", action="append", required=True,
+                       help="ideal file (give twice)")
 
-    p = sub.add_parser("iso", help="lattice isomorphism between two ideals")
-    add_input_flags(p, two_ideals=True)
-
+    cfg = audit_mod.GeneratorConfig()
     p = sub.add_parser("audit", help="audit a theorem against ground truth")
     p.add_argument("--theorem", required=True, choices=audit_mod.THEOREMS)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", default="2..5", help="vertex/variable range a..b")
-    p.add_argument("--k", default="2..3", help="edge size range a..b")
-    p.add_argument("--m", default="1..4", help="edge/generator count range a..b")
-    p.add_argument("--max-exponent", type=int, default=3)
+    p.add_argument("--count", type=int, default=cfg.count)
+    p.add_argument("--seed", type=int, default=cfg.seed)
+    p.add_argument("--n", type=_parse_range, default=cfg.n_range,
+                   help="vertex/variable range a..b")
+    p.add_argument("--k", type=_parse_range, default=cfg.k_range,
+                   help="edge size range a..b")
+    p.add_argument("--m", type=_parse_range, default=cfg.m_range,
+                   help="edge/generator count range a..b")
+    p.add_argument("--max-exponent", type=int, default=cfg.max_exponent)
     p.add_argument("--exhaustive", action="store_true",
                    help="force exhaustive enumeration")
     p.add_argument("--counterexamples", help="directory for disagreement instances")
-    p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--assert", dest="assert_mode", action="store_true",
                    help="exit 1 on any disagreement")
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="output path (default stdout)")
     return parser
 
 
 def _load_lattice(args):
-    if args.ideal and args.hypergraph:
-        raise CliError("--ideal and --hypergraph are mutually exclusive")
-    if args.ideal:
+    if args.ideal is not None:
         I = _read(args.ideal, parse_ideal_text)
-    elif args.hypergraph:
-        I = edge_ideal(_read(args.hypergraph, parse_hypergraph_json))
     else:
-        raise CliError("one of --ideal or --hypergraph is required")
+        I = edge_ideal(_read(args.hypergraph, parse_hypergraph_json))
     return build_lcm_lattice(I)
 
 
@@ -169,8 +168,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_conditions(args) -> int:
-    if not args.hypergraph:
-        raise CliError("conditions needs --hypergraph")
     H = _read(args.hypergraph, parse_hypergraph_json)
     verdicts = [conditions.private_vertex_check(H),
                 conditions.uniform_n_minus_1_check(H)]
@@ -186,8 +183,6 @@ def _cmd_conditions(args) -> int:
 
 
 def _cmd_polarize(args) -> int:
-    if not args.ideal:
-        raise CliError("polarize needs --ideal")
     I = _read(args.ideal, parse_ideal_text)
     polarized, pmap = polarize(I)
     out = {
@@ -233,12 +228,8 @@ def _cmd_iso(args) -> int:
 
 def _cmd_audit(args) -> int:
     cfg = audit_mod.GeneratorConfig(
-        seed=args.seed,
-        n_range=_parse_range(args.n),
-        k_range=_parse_range(args.k),
-        m_range=_parse_range(args.m),
-        max_exponent=args.max_exponent,
-        count=args.count,
+        seed=args.seed, n_range=args.n, k_range=args.k, m_range=args.m,
+        max_exponent=args.max_exponent, count=args.count,
     )
     summary, reports = audit_mod.audit_batch(
         args.theorem, cfg,
@@ -270,7 +261,7 @@ def run_cli(argv) -> int:
         return _COMMANDS[args.subcommand](args)
     except SystemExit:  # --help printed; every argparse error is a CliError
         return 0
-    except (CliError, ValueError, IndexError) as exc:
+    except (CliError, ValueError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
     except Exception as exc:

@@ -25,23 +25,30 @@ only candidates that lattice theory says cannot yield a witness:
   smaller bottom, so only pairs with a ^ x < z* stay in play.
 
 Tables are int32 join/meet index tables plus the bool leq matrix that
-lattice.FiniteLattice derives from the meet table. The two searches take the lattice's
-_cancellation_keys when it has them, so a lattice that runs both builds
-its keys once. Besides those n x n keys and their sorted copy, temporaries
-larger than O(n) are built in blocks of about lattice.BLOCK_BYTES.
+lattice.FiniteLattice derives from the meet table. The two searches take
+_cancellation_keys(join, meet) as an argument, so a lattice that runs both
+builds its keys once. Besides those n x n keys and their sorted copy,
+temporaries larger than O(n) are built in blocks of about BLOCK_BYTES.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .lattice import BLOCK_BYTES, _row_blocks
-
 # read by perfbench's provenance record; there is no other backend
 USE_NUMBA = False
+# rough bound on the bytes of each blocked temporary: the kernels and the
+# table fill of lattice
+BLOCK_BYTES = 1 << 20
 # fiber pairs handed to a search at once: the dozen or so int64 arrays of
 # this length stay about BLOCK_BYTES together, however large one fiber is
 _PAIRS_PER_CHUNK = BLOCK_BYTES // 128
+
+
+def _row_blocks(rows: int, row_bytes: int) -> list:
+    """Slices covering range(rows), each holding at most BLOCK_BYTES (and at least one row)."""
+    step = max(1, BLOCK_BYTES // row_bytes)
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def modular_violation(join, meet, leq):
@@ -226,20 +233,18 @@ def _fiber_pairs(keys, rows, limit):
         yield rows.take(i // n), col.take(i), col.take(j), key.take(i)
 
 
-def _least_witness(join, meet, cancellation, hits):
+def _least_witness(cancellation, hits):
     """Least (z, a, u, v, w) over the fiber pairs of every row a that hit.
 
-    cancellation is _cancellation_keys(join, meet), or None to build it.
-    hits(keys, a, lo, hi, key) returns, as arrays (a, u, v, key), the pairs
-    that head a witness; z and w are read off the key. Rows are scanned in
-    groups, and a group only holds rows and pairs with a bottom below the
-    best of the groups before it, so the least hit within each group that
-    has one is the least witness so far.
+    cancellation is _cancellation_keys(join, meet). hits(keys, a, lo, hi,
+    key) returns, as arrays (a, u, v, key), the pairs that head a witness;
+    z and w are read off the key. Rows are scanned in groups, and a group
+    only holds rows and pairs with a bottom below the best of the groups
+    before it, so the least hit within each group that has one is the
+    least witness so far.
     """
-    n = join.shape[0]
-    if cancellation is None:
-        cancellation = _cancellation_keys(join, meet)
     keys, low = cancellation
+    n = len(low)
     best = None
     bound = n  # a later row must beat the best bottom so far
     for rows in _row_groups((low < n).nonzero()[0], n):
@@ -259,7 +264,7 @@ def _least_witness(join, meet, cancellation, hits):
     return best
 
 
-def pentagon_search(join, meet, leq, cancellation=None):
+def pentagon_search(join, meet, leq, cancellation):
     """Lexicographically least pentagon (z, a, x, y, w), or None.
 
     Pentagon: x < y; a incomparable to both; a^x = a^y = z; avx = avy = w.
@@ -274,10 +279,10 @@ def pentagon_search(join, meet, leq, cancellation=None):
         x, y = np.where(up, lo, hi), np.where(up, hi, lo)
         return a[hit], x[hit], y[hit], key[hit]
 
-    return _least_witness(join, meet, cancellation, pentagons)
+    return _least_witness(cancellation, pentagons)
 
 
-def diamond_search(join, meet, leq, cancellation=None):
+def diamond_search(join, meet, leq, cancellation):
     """Lexicographically least diamond (z, a, b, c, w) with a < b < c, or None.
 
     Diamond: a, b, c pairwise incomparable, all pairwise meets = z, joins = w.
@@ -292,4 +297,4 @@ def diamond_search(join, meet, leq, cancellation=None):
         hit[hit] = keys[b[hit], c[hit]] == key[hit]
         return a[hit], b[hit], c[hit], key[hit]
 
-    return _least_witness(join, meet, cancellation, diamonds)
+    return _least_witness(cancellation, diamonds)

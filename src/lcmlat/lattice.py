@@ -18,7 +18,7 @@ a caller that reads only the elements, the atoms or the ideal
 (is_boolean) never pays for the N x N tables. Every element is the lcm of
 a subset of the generators, so one table over the 2^m generator subsets
 (the least element whose key contains each subset) turns join and meet
-into gathers, in row blocks of about BLOCK_BYTES each. Each label is
+into gathers, in row blocks of about kernels.BLOCK_BYTES each. Each label is
 rendered from its tuple later still, when it is read: most verdicts read
 none, and a witness reads only the few it names.
 """
@@ -33,6 +33,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from . import kernels
+from .kernels import _row_blocks
 from .monomials import MAX_CELLS, MonomialIdeal, monomial_str, subset_lcms, total_degree
 
 # The caps are module constants: no flag or parameter sets them, so the
@@ -60,9 +62,6 @@ MAX_KEY_BITS = 24
 # per cell through the build and is_boolean's scan, and 12 in the round that
 # passes the cap (the old rows, their join, its split rows), so a refusal
 # peaks near 0.4 GB
-# rough bound on the bytes of each blocked temporary: the table fill and the
-# kernels
-BLOCK_BYTES = 1 << 20
 
 
 class SizeLimitError(ValueError):
@@ -137,8 +136,6 @@ class FiniteLattice:
         """kernels.<name> on the tables and their cancellation keys. The
         first of the two searches builds the keys and holds them for the
         other, which drops them: nothing else reads the n x n keys."""
-        from . import kernels  # kernels imports this module
-
         if other in self.__dict__:
             keys = self.__dict__.pop("_cancellation_keys")
         else:
@@ -188,12 +185,6 @@ def _element_sort_key(m):
     """Total degree, then lexicographic exponents: the unit comes first, and
     a proper divisor, of smaller degree, before its multiples."""
     return (total_degree(m), m)
-
-
-def _row_blocks(rows: int, row_bytes: int) -> list:
-    """Slices covering range(rows), each holding at most BLOCK_BYTES (and at least one row)."""
-    step = max(1, BLOCK_BYTES // row_bytes)
-    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def _join_closure(gens: np.ndarray) -> dict:
@@ -288,7 +279,7 @@ def _fill_tables(elements: tuple, keys: tuple, m: int) -> FiniteLattice:
     its key contains s, and it divides every element whose key contains s.
     So it is least[s] provided the index order extends divisibility, as
     the order of _element_sort_key (total degree first) does. The tables
-    are gathers from least, in row blocks of about BLOCK_BYTES.
+    are gathers from least, in row blocks of about kernels.BLOCK_BYTES.
     """
     size = len(keys)
     keys = np.array(keys, dtype=np.intp)

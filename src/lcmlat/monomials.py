@@ -235,7 +235,16 @@ class Hypergraph:
 
 
 def edge_ideal(H: Hypergraph) -> MonomialIdeal:
-    """The square-free ideal with one generator per edge, support = edge."""
+    """The square-free ideal with one generator per edge, support = edge.
+
+    Each generator is a row of H.vertex_count ints, so edges x vertices
+    over MAX_CELLS is refused with ValueError before any row is built.
+    Its lcm-lattice, with the unit and one atom per edge, would pass the
+    same cap anyway.
+    """
+    if len(H.edges) * H.vertex_count > MAX_CELLS:
+        raise ValueError(f"edge ideal exceeds the cell cap {MAX_CELLS}: "
+                         f"{len(H.edges)} edges x {H.vertex_count} ring variables")
     gens = []
     for e in H.edges:
         exps = [0] * H.vertex_count
@@ -251,14 +260,13 @@ def edge_ideal(H: Hypergraph) -> MonomialIdeal:
 class PolarizationMap:
     """Bookkeeping for the slot expansion x_i^e -> x_{i,1}..x_{i,e}."""
 
-    source_dimension: int
     slot_counts: tuple  # a_i = max exponent of x_i over the generators
 
     def variable_names(self) -> list:
         return [
             f"x{i}_{k}"
-            for i in range(1, self.source_dimension + 1)
-            for k in range(1, self.slot_counts[i - 1] + 1)
+            for i, count in enumerate(self.slot_counts, 1)
+            for k in range(1, count + 1)
         ]
 
 
@@ -276,7 +284,7 @@ def polarize(I: MonomialIdeal):
     refused with ValueError first.
     """
     slot_counts = tuple(map(max, zip(*I.generators)))
-    pmap = PolarizationMap(I.ring_dimension, slot_counts)
+    pmap = PolarizationMap(slot_counts)
     # slots of x_i start at starts[i]; exponent e sets the first e of them
     starts = tuple(accumulate(slot_counts, initial=0))
     ring = starts[-1]

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -76,6 +77,60 @@ class TestNoCapFlags:
         code, out, err = run(capsys, subcommand, *inputs, "--max-lattice", "5")
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --max-lattice 5" in err
+
+
+def _cli_reads() -> dict:
+    """cli function name -> (the args.<name> attributes it reads, the cli
+    functions it passes args to), from the source of cli."""
+    table = {}
+    for node in ast.parse(Path(cli.__file__).read_text()).body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        attrs, callees = set(), set()
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "args"):
+                attrs.add(sub.attr)
+            elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                  and any(isinstance(a, ast.Name) and a.id == "args" for a in sub.args)):
+                callees.add(sub.func.id)
+        table[node.name] = attrs, callees
+    return table
+
+
+def _args_read(table: dict, name: str) -> set:
+    """The args.<name> attributes that cli function `name` reads, itself or
+    through the cli functions it passes args to."""
+    attrs, callees = table[name]
+    return attrs.union(*(_args_read(table, callee) for callee in callees))
+
+
+class TestParserTable:
+    """Each subcommand takes exactly the flags its _cmd_* reads."""
+
+    def test_flags_are_the_reads(self):
+        table = _cli_reads()
+        parser = cli._build_parser()
+        (subparsers,) = [a for a in parser._actions if a.choices and a.dest == "subcommand"]
+        assert set(subparsers.choices) == set(cli._COMMANDS)
+        for name, sub in subparsers.choices.items():
+            flags = {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+            assert flags == _args_read(table, cli._COMMANDS[name].__name__), name
+
+    def test_conditions_refuses_ideal(self, capsys, tmp_path, tetra_file):
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run(capsys, "conditions", "--hypergraph", tetra_file,
+                             "--ideal", missing)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": f"lcmlat: unrecognized arguments: --ideal {missing}"}
+
+    def test_polarize_refuses_hypergraph(self, capsys, tmp_path, fig3_ideal_file):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, "polarize", "--ideal", fig3_ideal_file,
+                             "--hypergraph", missing)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": f"lcmlat: unrecognized arguments: --hypergraph {missing}"}
 
 
 class TestBuild:
@@ -218,6 +273,20 @@ class TestGeneratorLimit:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "ideal has 25 generators; the subset table "
                                             "of the lattice fill holds at most 24"}
+
+    def test_wide_hypergraph_refused_before_its_rows(self, tmp_path):
+        # one-vertex edges in a 2^20-vertex ring: 33 of them pass the cell
+        # cap in edge_ideal; 26 stay under it and meet the generator limit
+        for edges, message in (
+                (33, "edge ideal exceeds the cell cap 33554432: "
+                     "33 edges x 1048576 ring variables"),
+                (26, "ideal has 26 generators; the subset table "
+                     "of the lattice fill holds at most 24")):
+            p = tmp_path / f"wide{edges}.json"
+            p.write_text(json.dumps({"n": MAX_RING_DIMENSION,
+                                     "edges": [[v] for v in range(1, edges + 1)]}))
+            done = run_subprocess("check", "--hypergraph", str(p), "--property", "boolean")
+            assert_one_error_line(done, message)
 
     def test_no_generator_flag(self, capsys, fig3_ideal_file):
         code, out, err = run(capsys, "check", "--ideal", fig3_ideal_file,
@@ -410,10 +479,20 @@ class TestArgumentErrors:
         (("audit", "--theorem", "bogus"),
          "lcmlat audit: argument --theorem: invalid choice: 'bogus'"),
         (("audit",), "lcmlat audit: the following arguments are required: --theorem"),
-        (("build", "--nope"), "lcmlat: unrecognized arguments: --nope"),
+        (("build", "--ideal", "I.txt", "--nope"), "lcmlat: unrecognized arguments: --nope"),
         (("audit", "--theorem", "boolean", "--count", "x"),
          "lcmlat audit: argument --count: invalid int value: 'x'"),
         ((), "lcmlat: the following arguments are required: subcommand"),
+        (("build",), "lcmlat build: one of the arguments --ideal --hypergraph is required"),
+        (("build", "--ideal", "I.txt", "--hypergraph", "H.json"),
+         "lcmlat build: argument --hypergraph: not allowed with argument --ideal"),
+        (("conditions",),
+         "lcmlat conditions: the following arguments are required: --hypergraph"),
+        (("polarize",), "lcmlat polarize: the following arguments are required: --ideal"),
+        (("audit", "--theorem", "boolean", "--n", "2..x"),
+         "lcmlat audit: argument --n: bad range '2..x'; expected 'a..b'"),
+        (("audit", "--theorem", "boolean", "--n", "5..2"),
+         "lcmlat audit: argument --n: empty range '5..2'"),
     ])
     def test_one_json_line(self, argv, message):
         assert_one_error_line(run_subprocess(*argv), message)
@@ -589,6 +668,7 @@ class TestAudit:
         code, _, err = run(capsys, "audit", "--theorem", "boolean", "--n", "5..2")
         assert code == 2
 
-    def test_unknown_flag(self, capsys):
-        code, _, _ = run(capsys, "build", "--nope")
+    def test_unknown_flag(self, capsys, fig3_ideal_file):
+        code, _, err = run(capsys, "build", "--ideal", fig3_ideal_file, "--nope")
         assert code == 2
+        assert json.loads(err) == {"error": "lcmlat: unrecognized arguments: --nope"}

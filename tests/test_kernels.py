@@ -19,6 +19,12 @@ from lcmlat.properties import is_modular
 from reference import from_covers
 from strategies import ideal_strategy
 
+
+def _search(search, join, meet, leq):
+    """search on the tables and their cancellation keys, as FiniteLattice runs it."""
+    return search(join, meet, leq, kernels._cancellation_keys(join, meet))
+
+
 # --- triple-loop oracles: the definitions, scanned in each kernel's order ---
 
 def _modular_violation_loops(join, meet, leq):
@@ -180,8 +186,8 @@ def _assert_parity(lattice):
     assert kernels.distributive_violation(*tables[:2]) == distributive
     assert kernels.modular_by_valuation(*tables) == (modular is None)
     assert kernels.distributive_by_valuation(*tables) == (distributive is None)
-    assert kernels.pentagon_search(*tables) == _pentagon_search_loops(*tables)
-    assert kernels.diamond_search(*tables) == _diamond_search_loops(*tables)
+    assert _search(kernels.pentagon_search, *tables) == _pentagon_search_loops(*tables)
+    assert _search(kernels.diamond_search, *tables) == _diamond_search_loops(*tables)
 
 
 _SAMPLES = list(_sample_lattices())
@@ -199,8 +205,8 @@ def test_search_parity_in_small_pair_chunks(lattice, monkeypatch):
     of 5 pairs, most groups span several, and the witness is unchanged."""
     monkeypatch.setattr(kernels, "_PAIRS_PER_CHUNK", 5)
     tables = (lattice.join_table, lattice.meet_table, lattice.leq)
-    assert kernels.pentagon_search(*tables) == _pentagon_search_loops(*tables)
-    assert kernels.diamond_search(*tables) == _diamond_search_loops(*tables)
+    assert _search(kernels.pentagon_search, *tables) == _pentagon_search_loops(*tables)
+    assert _search(kernels.diamond_search, *tables) == _diamond_search_loops(*tables)
 
 
 @pytest.mark.parametrize("lattice", [L for _, L in _SAMPLES], ids=[i for i, _ in _SAMPLES])
@@ -208,8 +214,8 @@ def test_lattice_searches_share_one_key_table(lattice, monkeypatch):
     """A lattice's pentagon and diamond searches build the cancellation keys
     once, in whichever runs first, and the second drops them."""
     tables = (lattice.join_table, lattice.meet_table, lattice.leq)
-    expected = {"pentagon": kernels.pentagon_search(*tables),
-                "diamond": kernels.diamond_search(*tables)}
+    expected = {"pentagon": _search(kernels.pentagon_search, *tables),
+                "diamond": _search(kernels.diamond_search, *tables)}
     built = []
     keys = kernels._cancellation_keys
     monkeypatch.setattr(kernels, "_cancellation_keys",
@@ -239,9 +245,18 @@ def test_join_irreducibles_by_definition(lattice, monkeypatch):
     reducible = {join[a][b] for a in range(n) for b in range(n) if join[a][b] not in (a, b)}
     expected = [x not in reducible for x in range(n)]
     assert kernels._join_irreducibles(lattice.join_table, lattice.leq).tolist() == expected
-    # the join table is counted in row blocks: one row each past 8 elements
-    monkeypatch.setattr("lcmlat.lattice.BLOCK_BYTES", 64)
+    # the join table is counted in row blocks: one row each at 8 bytes a block
+    blocks = []
+    original = kernels._row_blocks
+
+    def row_blocks(rows, row_bytes):
+        blocks.append(original(rows, row_bytes))
+        return blocks[-1]
+
+    monkeypatch.setattr(kernels, "_row_blocks", row_blocks)
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 8)
     assert kernels._join_irreducibles(lattice.join_table, lattice.leq).tolist() == expected
+    assert [len(b) for b in blocks] == [n] and n > 1
 
 
 # built inside the test, so B12's 144 MB of tables live for one test only
@@ -281,13 +296,13 @@ def test_parity_on_random_ideals(data):
 def test_known_witnesses():
     N5 = pentagon_lattice()
     tables = (N5.join_table, N5.meet_table, N5.leq)
-    assert kernels.pentagon_search(*tables) == (0, 3, 1, 2, 4)
+    assert _search(kernels.pentagon_search, *tables) == (0, 3, 1, 2, 4)
     assert kernels.modular_violation(*tables) is not None
     M3 = diamond_lattice()
     tables = (M3.join_table, M3.meet_table, M3.leq)
-    assert kernels.diamond_search(*tables) == (0, 1, 2, 3, 4)
+    assert _search(kernels.diamond_search, *tables) == (0, 1, 2, 3, 4)
     assert kernels.modular_violation(*tables) is None
-    assert kernels.pentagon_search(*tables) is None
+    assert _search(kernels.pentagon_search, *tables) is None
 
 
 @pytest.mark.parametrize("lattice,modular,distributive", [
@@ -321,6 +336,6 @@ def test_least_witness_on_large_products(small, search, oracle):
     pentagon_search short: it scans all 1536 rows with repeated keys."""
     L = product(small, boolean_lattice(9))
     expected = oracle(small.join_table, small.meet_table, small.leq)
-    assert search(L.join_table, L.meet_table, L.leq) == (
+    assert _search(search, L.join_table, L.meet_table, L.leq) == (
         expected and tuple(512 * i for i in expected)
     )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmlat import lattice
+from lcmlat import kernels, lattice
 from lcmlat.audit import GeneratorConfig, SplitMix64, random_monomial_ideal
 from lcmlat.lattice import (
     FiniteLattice,
@@ -551,9 +551,19 @@ class TestClosureOracle:
     @settings(max_examples=30, deadline=None)
     @given(st.one_of(antichain_ideal_strategy(), squarefree_edge_ideal_strategy()))
     def test_tiny_block_budget(self, I):
-        # many row blocks in each table
-        with mock.patch.object(lattice, "BLOCK_BYTES", 64):
+        # one row per block in each table at 16 bytes a block
+        blocks = []
+        original = lattice._row_blocks
+
+        def row_blocks(rows, row_bytes):
+            blocks.append(original(rows, row_bytes))
+            return blocks[-1]
+
+        with mock.patch.object(kernels, "BLOCK_BYTES", 16), \
+                mock.patch.object(lattice, "_row_blocks", row_blocks):
             self.check(I)
+        size = len(enumerate_subset_lcms(I))
+        assert [len(b) for b in blocks] == [size] and size > 1
 
     @settings(max_examples=15, deadline=None)
     @given(st.one_of(st.just(MonomialIdeal.make(2, _staircase(16))), equal_degree_ideal_strategy()))
@@ -573,7 +583,7 @@ class TestClosureOracle:
     def test_closure_never_holds_the_generator_subsets(self):
         # 24 generators, 301 elements: the 2^24 rows of a closure that keeps
         # duplicates would take 256 MiB, and even deduplicating them once
-        # per BLOCK_BYTES of rows passes 1 MiB
+        # per kernels.BLOCK_BYTES of rows passes 1 MiB
         g = lattice.MAX_KEY_BITS
         I = MonomialIdeal.make(2, _staircase(g))
         tracemalloc.start()
@@ -705,7 +715,7 @@ class TestClosureOracle:
         assert L.size == 1 << 12
         keys = np.array(L.keys, dtype=np.int64)
         assert np.array_equal(np.sort(keys), np.arange(1 << 12))
-        for blk in lattice._row_blocks(L.size, 64 * L.size):
+        for blk in kernels._row_blocks(L.size, 64 * L.size):
             ka, kb = keys[blk, None], keys[None, :]
             assert np.array_equal(keys[L.lattice.join_table[blk]], ka | kb)
             assert np.array_equal(keys[L.lattice.meet_table[blk]], ka & kb)

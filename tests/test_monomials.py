@@ -195,6 +195,20 @@ class TestMinimalByConstruction:
         with pytest.raises(ValueError, match="at least one generator"):
             edge_ideal(Hypergraph.make(3, []))
 
+    def test_wide_edge_ideal_is_refused_before_any_row(self):
+        # 33 one-vertex edges in the widest readable ring: 33 * 2^20 cells,
+        # one edge's worth over MAX_CELLS = 2^25; the rows would take 8 MB each
+        H = Hypergraph.make(MAX_RING_DIMENSION, [{v} for v in range(1, 34)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"edge ideal exceeds the cell cap {MAX_CELLS}: "
+                                                 "33 edges x 1048576 ring variables"):
+                edge_ideal(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_polarize_wide_staircase_in_under_a_second(self):
         # x1^a*x2^(1000-a), 0 < a < 1000: 999 generators in 1998 slots; the
         # pairwise re-check alone would compare 498,501 pairs of 1998 slots
