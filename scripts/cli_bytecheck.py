@@ -16,7 +16,8 @@ one inside the generator limit of 24 and one past it, the removed cap flag
 `--max-lattice` on `check` and `build`, bad flags and values, an input
 flag that the subcommand does not read, a missing or doubled input flag,
 a malformed `--n` range, polarize past its ring cap, and `check` on a
-33-edge hypergraph in a 2^20-vertex ring, past the edge-ideal cell cap)
+33-edge hypergraph in a 2^20-vertex ring, past the edge-ideal cell cap,
+and on a 25-edge one, past the generator limit)
 and prints both trees' exit code and stderr, since a refusal may change
 on purpose. Polarize past its cell cap runs on the new tree only: a tree
 without that cap writes all of its 2^25 cells.
@@ -202,6 +203,11 @@ def commands(fx: Path) -> tuple:
     wide33 = fx / "wide33.json"
     wide33.write_text(json.dumps({"n": 1 << 20, "edges": [[v] for v in range(1, 34)]}))
     malformed.append(["check", "--hypergraph", wide33, "--property", "boolean"])
+    # 25 one-vertex edges x 2^20 vertices: under the cell cap, past the
+    # generator limit of 24
+    wide25 = fx / "wide25.json"
+    wide25.write_text(json.dumps({"n": 1 << 20, "edges": [[v] for v in range(1, 26)]}))
+    malformed.append(["check", "--hypergraph", wide25, "--property", "boolean"])
     # one generator x1^65536*...*x17^65536: 17 * 65536 polarized variables,
     # over the ring cap 2^20
     ring17 = fx / "ring17.ideal"

@@ -1,4 +1,4 @@
-"""Hot inner loops over lattice tables: law sweeps, valuation tests and
+"""Hot inner loops over lattice tables: law sweeps, a valuation test and
 sublattice searches.
 
 Each sweep and search returns the first witness in a fixed scan order as a
@@ -8,11 +8,10 @@ only candidates that lattice theory says cannot yield a witness:
 
 - the modular sweep reads, for each z, only the rows x <= z, the only ones
   the law constrains; the distributive sweep checks every triple;
-- the two valuation tests decide modularity and distributivity in O(n^2)
-  without a witness: a function v on the elements is a valuation when
+- the valuation test decides modularity in O(n^2) without a witness: a
+  function v on the elements is a valuation when
   v(x) + v(y) = v(x ^ y) + v(x v y) for all x, y, and the lattice is
-  modular iff its height function is one, distributive iff the count of
-  join-irreducibles below x is one;
+  modular iff its height function is one;
 - the searches key each pair by keys[a, x] = (a ^ x) * n + (a v x). By
   Birkhoff's cancellation law a lattice is distributive iff x -> keys[a, x]
   is injective for every a, and a pentagon or diamond through a puts two
@@ -97,18 +96,6 @@ def modular_by_valuation(join, meet, leq):
     return _is_valuation(_heights(leq), join, meet)
 
 
-def distributive_by_valuation(join, meet, leq):
-    """Whether the lattice is distributive, from its join-irreducibles.
-
-    With v(x) = #{join-irreducible j <= x}, x -> {j <= x} always preserves
-    meets and is one-to-one, and v(x) + v(y) = v(x ^ y) + v(x v y) for all
-    x, y holds iff it also preserves joins, i.e. iff it embeds the lattice
-    into the Boolean lattice on its join-irreducibles. O(n^2).
-    """
-    v = leq[_join_irreducibles(join, leq)].sum(axis=0, dtype=np.int32)
-    return _is_valuation(v, join, meet)
-
-
 def _heights(leq):
     """1 + h(x) for every x, h(x) the length of the longest chain from the
     bottom up to x; the 1 cancels in the valuation identity.
@@ -131,21 +118,6 @@ def _heights(leq):
         pending -= leq[ready].sum(axis=0)
         ready = np.flatnonzero(pending == 1)
     return h
-
-
-def _join_irreducibles(join, leq):
-    """Mask of the elements that are not the join of two others.
-
-    The 2|down(x)| - 1 pairs (a, x) and (x, a) with a <= x all join to x,
-    and x is the join of two others exactly when more pairs than those do.
-    The bottom is in the mask; it adds 1 to every count v(x), which cancels
-    in the valuation identity. The join table is counted in row blocks,
-    each cast to intp by bincount on its own.
-    """
-    n = len(join)
-    pairs = sum(np.bincount(join[blk].ravel(), minlength=n)
-                for blk in _row_blocks(n, 8 * n))
-    return pairs == 2 * leq.sum(axis=0) - 1
 
 
 def _is_valuation(v, join, meet):

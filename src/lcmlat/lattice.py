@@ -35,7 +35,9 @@ import numpy as np
 
 from . import kernels
 from .kernels import _row_blocks
-from .monomials import MAX_CELLS, MonomialIdeal, monomial_str, subset_lcms, total_degree
+from .monomials import (
+    MAX_CELLS, MAX_KEY_BITS, MonomialIdeal, monomial_str, subset_lcms, total_degree,
+)
 
 # The caps are module constants: no flag or parameter sets them, so the
 # memory bounds below hold for every caller.
@@ -54,10 +56,8 @@ MAX_ELEMENTS = 6000
 # 9 * 6400^2 = 0.37e9. The cap dates from a peak of 21 bytes per cell and
 # is kept, so the inputs it refuses stay the same.
 MAX_PRODUCT = 6400
-# _fill_tables indexes an int32 table by the divisor-bitmask key, 2^m
-# entries for m generators: m = 24 keeps it at 4 * 2^24 bytes = 64 MiB. It
-# is the only generator limit: the closure's work follows |L|, not 2^m.
-MAX_KEY_BITS = 24
+# MAX_KEY_BITS (from monomials) caps the generators at the key width of
+# _fill_tables' subset table.
 # MAX_CELLS (from monomials) caps elements x ring variables: about 16 bytes
 # per cell through the build and is_boolean's scan, and 12 in the round that
 # passes the cap (the old rows, their join, its split rows), so a refusal

@@ -23,6 +23,10 @@ MAX_RING_DIMENSION = 1 << 20
 # cells of generators (polarize's output) or of lattice elements (the
 # join-closure, see lattice) x ring variables: one cap bounds both
 MAX_CELLS = 1 << 25
+# lattice's table fill indexes an int32 table by the divisor-bitmask key,
+# 2^m entries for m generators: m = 24 keeps it at 4 * 2^24 bytes = 64 MiB.
+# It is the only generator limit: the closure's work follows |L|, not 2^m.
+MAX_KEY_BITS = 24
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$", re.ASCII)
 
@@ -240,11 +244,15 @@ def edge_ideal(H: Hypergraph) -> MonomialIdeal:
     Each generator is a row of H.vertex_count ints, so edges x vertices
     over MAX_CELLS is refused with ValueError before any row is built.
     Its lcm-lattice, with the unit and one atom per edge, would pass the
-    same cap anyway.
+    same cap anyway. So are more than MAX_KEY_BITS edges, with the message
+    of the lattice builder, which would refuse the ideal next.
     """
     if len(H.edges) * H.vertex_count > MAX_CELLS:
         raise ValueError(f"edge ideal exceeds the cell cap {MAX_CELLS}: "
                          f"{len(H.edges)} edges x {H.vertex_count} ring variables")
+    if len(H.edges) > MAX_KEY_BITS:
+        raise ValueError(f"ideal has {len(H.edges)} generators; the subset table "
+                         f"of the lattice fill holds at most {MAX_KEY_BITS}")
     gens = []
     for e in H.edges:
         exps = [0] * H.vertex_count

@@ -11,8 +11,12 @@ refuse to answer if the routes disagree:
   every size. When the search finds a pentagon at or below SWEEP_LIMIT, the
   modular law sweep runs instead of the valuation test, to give its first
   failing triple as the witness; above it the pentagon is the witness.
-- Distributive: the pentagon and diamond searches vs the join-irreducible
-  valuation test (O(n^2)), at every size.
+- Distributive: the pentagon and diamond searches vs the count |L| = 2^m,
+  at every size. An lcm-lattice is atomistic, so it is distributive iff it
+  is Boolean.
+
+decide reads the same fact the other way: a Boolean lcm-lattice (|L| = 2^m,
+confirmed by is_boolean) has every property, so no table is filled for it.
 
 Relative complementation is decided by Björner's theorem (A. Björner, "On
 complements in lattices of finite length", Discrete Math. 36, 1981): a
@@ -202,27 +206,32 @@ def find_m3(L: FiniteLattice):
     return L.diamond
 
 
-def is_distributive(L: FiniteLattice) -> PropertyVerdict:
-    """Distributive iff no pentagon and no diamond sublattice.
+def is_distributive(L: LcmLattice) -> PropertyVerdict:
+    """Distributive iff no pentagon and no diamond sublattice of the tables.
 
-    Cross-checked against the join-irreducible valuation test at every size.
+    Cross-checked against the count |L| = 2^m at every size. An
+    lcm-lattice is atomistic, so its join-irreducibles are its m atoms
+    (Gasharov, Peeva and Welker, Math. Res. Lett. 6, 1999), and by
+    Birkhoff's representation theorem it is then distributive iff it is the
+    lattice of all subsets of its atoms, iff |L| = 2^m.
     """
-    pentagon = find_n5(L)
-    diamond = find_m3(L)
+    lat = L.lattice
+    pentagon = find_n5(lat)
+    diamond = find_m3(lat)
     by_search = pentagon is None and diamond is None
-    by_valuation = kernels.distributive_by_valuation(L.join_table, L.meet_table, L.leq)
-    if by_search != by_valuation:
+    by_count = L.size == 1 << L.atom_count
+    if by_search != by_count:
         raise RuntimeError(
-            f"distributive routes disagree: the valuation test says {by_valuation}, "
+            f"distributive routes disagree: the count says {by_count}, "
             f"the searches say {by_search}"
         )
     if by_search:
         return PropertyVerdict("distributive", True)
     witness = {}
     if pentagon is not None:
-        witness["pentagon"] = _pentagon_witness(L, pentagon)
+        witness["pentagon"] = _pentagon_witness(lat, pentagon)
     if diamond is not None:
-        witness["diamond"] = _diamond_witness(L, diamond)
+        witness["diamond"] = _diamond_witness(lat, diamond)
     return PropertyVerdict("distributive", False, witness)
 
 
@@ -268,14 +277,20 @@ def is_relatively_complemented(L: FiniteLattice) -> PropertyVerdict:
 
 
 def decide(name: str, L: LcmLattice) -> PropertyVerdict:
-    """The verdict on the property name, one of PROPERTIES. is_boolean reads
-    L itself, the others its tables; each decider is looked up by name on
-    every call, so a wrapper set on this module's attribute sees it."""
+    """The verdict on the property name, one of PROPERTIES.
+
+    A Boolean lattice has every property, so when |L| = 2^m and is_boolean
+    confirms it, the verdict holds and no table is read. Otherwise
+    is_boolean and is_distributive read L itself, the others its tables.
+    Each decider is looked up by name on every call, so a wrapper set on
+    this module's attribute sees it.
+    """
     if name not in PROPERTIES:
         raise ValueError(f"unknown property {name!r} (expected one of {PROPERTIES})")
-    if name == "boolean":
-        return is_boolean(L)
-    return globals()["is_" + name.replace("-", "_")](L.lattice)
+    if name != "boolean" and L.size == 1 << L.atom_count and is_boolean(L).holds:
+        return PropertyVerdict(name, True)
+    decider = globals()["is_" + name.replace("-", "_")]
+    return decider(L if name in ("boolean", "distributive") else L.lattice)
 
 
 def all_properties(L: LcmLattice) -> list:

@@ -2,10 +2,13 @@
 order matrix or from Hasse edges, by brute force over the upper and lower
 bounds of each pair; it shares no code with build_lcm_lattice's
 join-closure and table fill. lcm, divides and atom_indices are the
-definitions the tests compare the program against."""
+definitions the tests compare the program against, and the join-irreducible
+valuation test decides distributivity on any lattice's tables, a route
+independent of the searches and of the count that properties uses."""
 
 import numpy as np
 
+from lcmlat.kernels import _is_valuation
 from lcmlat.lattice import FiniteLattice
 from lcmlat.monomials import DimensionMismatch
 
@@ -33,6 +36,30 @@ def atom_indices(L) -> tuple:
     """The indices in the LcmLattice L of its minimal generators, in
     generator order: a minimal generator's key is its own bit."""
     return tuple(map(L.keys.index, (1 << j for j in range(L.atom_count))))
+
+
+def distributive_by_valuation(join, meet, leq) -> bool:
+    """Whether the lattice is distributive, from its join-irreducibles.
+
+    With v(x) = #{join-irreducible j <= x}, x -> {j <= x} always preserves
+    meets and is one-to-one, and v(x) + v(y) = v(x ^ y) + v(x v y) for all
+    x, y holds iff it also preserves joins, i.e. iff it embeds the lattice
+    into the Boolean lattice on its join-irreducibles. O(n^2).
+    """
+    v = leq[join_irreducibles(join, leq)].sum(axis=0, dtype=np.int32)
+    return _is_valuation(v, join, meet)
+
+
+def join_irreducibles(join, leq):
+    """Mask of the elements that are not the join of two others.
+
+    The 2|down(x)| - 1 pairs (a, x) and (x, a) with a <= x all join to x,
+    and x is the join of two others exactly when more pairs than those do.
+    The bottom is in the mask; it adds 1 to every count v(x), which cancels
+    in the valuation identity.
+    """
+    pairs = np.bincount(join.ravel(), minlength=len(join))
+    return pairs == 2 * leq.sum(axis=0) - 1
 
 
 def from_leq(leq, labels=()) -> FiniteLattice:

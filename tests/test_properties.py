@@ -39,7 +39,7 @@ from lcmlat.properties import (
     is_modular,
     is_relatively_complemented,
 )
-from reference import atom_indices, lcm
+from reference import atom_indices, join_irreducibles, lcm
 from strategies import exhaustive_hypergraphs, ideal_strategy
 
 
@@ -54,6 +54,17 @@ def _edge_ideal_strategy(n_max=6, m_max=6):
 @pytest.fixture(scope="module")
 def triangle_lattice():
     return build_lcm_lattice(edge_ideal(Hypergraph.make(3, [{1, 2}, {1, 3}, {2, 3}])))
+
+
+def _matching(m):
+    """The lcm-lattice of the m-edge matching, the Boolean lattice on m atoms."""
+    return build_lcm_lattice(edge_ideal(Hypergraph.make(
+        2 * m, [{2 * i + 1, 2 * i + 2} for i in range(m)])))
+
+
+@pytest.fixture(scope="module")
+def matching3_lattice():
+    return _matching(3)
 
 
 class TestBoolean:
@@ -362,37 +373,40 @@ class TestForbiddenSublattices:
 
 class TestDistributive:
     def test_boolean3(self):
-        assert is_distributive(boolean_lattice(3)).holds
+        assert is_distributive(_matching(3)).holds
 
     def test_boolean6_runs_no_sweep(self, monkeypatch):
         sweeps = _counting(monkeypatch, "distributive_violation")
-        assert is_distributive(boolean_lattice(6)).holds
+        assert is_distributive(_matching(6)).holds
         assert sweeps == []
 
-    @pytest.mark.parametrize("lattice", [boolean_lattice(3), pentagon_lattice(), diamond_lattice()],
-                             ids=["B3", "N5", "M3"])
-    def test_routes_disagree_raises(self, lattice, monkeypatch):
-        original = kernels.distributive_by_valuation
-        monkeypatch.setattr(kernels, "distributive_by_valuation",
-                            lambda *tables: not original(*tables))
+    @pytest.mark.parametrize("fixture,searched", [
+        ("matching3_lattice", (0, 1, 2, 3, 4)),  # a pentagon the Boolean B3 does not hold
+        ("p4_lattice", None),                     # P4 holds a pentagon
+        ("triangle_lattice", None),               # the triangle is M3
+    ], ids=["B3", "N5", "M3"])
+    def test_routes_disagree_raises(self, fixture, searched, request, monkeypatch):
+        # the searches are made to say the opposite of the count
+        monkeypatch.setattr(properties, "find_n5", lambda lat: searched)
+        monkeypatch.setattr(properties, "find_m3", lambda lat: None)
         with pytest.raises(RuntimeError, match="distributive routes disagree"):
-            is_distributive(lattice)
+            is_distributive(request.getfixturevalue(fixture))
 
     def test_tetra_fails_via_diamond(self, tetra_lattice):
-        verdict = is_distributive(tetra_lattice.lattice)
+        verdict = is_distributive(tetra_lattice)
         assert not verdict.holds
         assert "diamond" in verdict.witness
 
     def test_fig3_fails_via_pentagon(self, fig3_lattice):
-        verdict = is_distributive(fig3_lattice.lattice)
+        verdict = is_distributive(fig3_lattice)
         assert not verdict.holds
         assert "pentagon" in verdict.witness
 
     def test_unique_complements_in_distributive(self):
-        for L in (boolean_lattice(3), chain_lattice(4)):
-            assert is_distributive(L).holds
-            for x in range(L.size):
-                assert len(complements_of(L, x)) <= 1
+        L = _matching(3)
+        assert is_distributive(L).holds
+        for x in range(L.size):
+            assert len(complements_of(L.lattice, x)) <= 1
 
 
 class TestComplements:
@@ -551,7 +565,7 @@ class TestDecide:
         named = {
             "boolean": lambda: is_boolean(L),
             "modular": lambda: is_modular(L.lattice),
-            "distributive": lambda: is_distributive(L.lattice),
+            "distributive": lambda: is_distributive(L),
             "complemented": lambda: is_complemented(L.lattice),
             "relatively-complemented": lambda: is_relatively_complemented(L.lattice),
         }
@@ -580,6 +594,40 @@ class TestDecide:
             decide("isomorphic", p4_lattice)
 
 
+def _by_tables(L):
+    """Each decider's full verdict on L, none of them shortcut by the count:
+    distributivity from the pentagon and diamond searches alone, the other
+    table properties on L.lattice."""
+    lat = L.lattice
+    pentagon, diamond = find_n5(lat), find_m3(lat)
+    witness = {}
+    if pentagon is not None:
+        witness["pentagon"] = properties._pentagon_witness(lat, pentagon)
+    if diamond is not None:
+        witness["diamond"] = properties._diamond_witness(lat, diamond)
+    return [
+        is_boolean(L),
+        is_modular(lat),
+        PropertyVerdict("distributive", not witness, witness or None),
+        is_complemented(lat),
+        is_relatively_complemented(lat),
+    ]
+
+
+def _assert_atomistic_facts(L):
+    """decide agrees with the full deciders; distributive iff Boolean, and
+    modular => relatively complemented => complemented, as on every
+    atomistic lattice; the join-irreducibles are the bottom and the atoms."""
+    verdicts = [decide(name, L) for name in PROPERTIES]
+    assert verdicts == _by_tables(L)
+    b, m, d, c, r = (v.holds for v in verdicts)
+    assert d == b
+    assert b <= d <= m <= r <= c
+    lat = L.lattice
+    assert join_irreducibles(lat.join_table, lat.leq).tolist() == [
+        i == 0 or L.keys[i].bit_count() == 1 for i in range(L.size)]
+
+
 class TestImplicationChain:
     @pytest.mark.parametrize("edges,n", [
         ([{1, 2}, {3, 4}], 4),
@@ -589,19 +637,30 @@ class TestImplicationChain:
         ([{1, 2, 3}, {1, 2, 4}, {1, 3, 4}, {2, 3, 4}], 4),
     ])
     def test_boolean_implies_distributive_implies_modular(self, edges, n):
-        L = build_lcm_lattice(edge_ideal(Hypergraph.make(n, edges)))
-        b = is_boolean(L).holds
-        d = is_distributive(L.lattice).holds
-        m = is_modular(L.lattice).holds
-        if b:
-            assert d
-        if d:
-            assert m
+        _assert_atomistic_facts(build_lcm_lattice(edge_ideal(Hypergraph.make(n, edges))))
+
+    def test_exhaustive_stream_lattices(self):
+        ideals = dict.fromkeys(map(edge_ideal, exhaustive_hypergraphs()))
+        for I in ideals:
+            _assert_atomistic_facts(build_lcm_lattice(I))
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_matching(self, m):
+        _assert_atomistic_facts(_matching(m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(I=ideal_strategy(4, 6, 2))
+    def test_random_ideals(self, I):
+        _assert_atomistic_facts(build_lcm_lattice(I))
+
+    def test_boolean_lattice_fills_no_table(self):
+        L = _matching(8)
+        assert all(v.holds for v in all_properties(L))
+        assert "lattice" not in vars(L)
 
     def test_one_element_lattice(self):
         L = build_lcm_lattice(MonomialIdeal.make(1, [(1,)]))
         one, _ = interval(L.lattice, 0, 0)
         assert is_modular(one).holds
-        assert is_distributive(one).holds
         assert is_complemented(one).holds
         assert is_relatively_complemented(one).holds
