@@ -1,11 +1,13 @@
 """Compare the lcmlat CLI of two source trees byte for byte.
 
 Runs a fixed list of commands (build json and dot, check with every
-property, conditions, polarize, build and check of two 16-generator
+property and conditions, also on M3 x B10 and B12 near the element cap,
+polarize, build and check of two 16-generator
 ideals with few elements, check of the Boolean and modular properties on
 a 10-edge star in a 4096-variable ring, polarize of a 299-generator
-staircase, product, iso (also of two edge ideals with
-many automorphisms against relabeled copies), a default audit of every
+staircase, product (also of an 80- and a 56-element lattice), iso (also
+of three edge ideals with many automorphisms, B12 among them, against
+relabeled copies), a default audit of every
 theorem, the sampled ideal audits for seeds 1, 2 and 9, the bench's two
 seeded ideal audits at seed 41 (n from 1, so they draw one-variable
 ideals), three sampled hypergraph audits, and polarize of a 5-variable ideal
@@ -47,6 +49,8 @@ HYPERGRAPHS = {
     "matching10": (20, [[2 * i + 1, 2 * i + 2] for i in range(10)]),
     # M3 x B10: the triangle plus ten disjoint edges, 5120 elements
     "m3xb10": (23, [[1, 2], [1, 3], [2, 3]] + [[4 + 2 * i, 5 + 2 * i] for i in range(10)]),
+    # B12, 4096 elements
+    "matching12": (24, [[2 * i + 1, 2 * i + 2] for i in range(12)]),
 }
 IDEALS = {
     "fig3": "ring 6\nx1*x2*x3\nx2*x3*x4\nx4*x5*x6\n",
@@ -71,6 +75,14 @@ ISO_HYPERGRAPHS = {
     "matching8": (16, [[2 * i + 1, 2 * i + 2] for i in range(8)]),
     # M3 x B6: the triangle plus six disjoint edges, 320 elements
     "m3xb6": (15, [[1, 2], [1, 3], [2, 3]] + [[4 + 2 * i, 5 + 2 * i] for i in range(6)]),
+    # B12, 4096 elements, near the element cap
+    "matching12": (24, [[2 * i + 1, 2 * i + 2] for i in range(12)]),
+}
+# the two factors of a product of 4480 elements: M3 x B4 (the triangle plus
+# four disjoint edges, 80 elements) and the fig3 lattice x B3 (56 elements)
+PRODUCT_FACTORS = {
+    "m3xb4": "ring 11\nx1*x2\nx1*x3\nx2*x3\nx4*x5\nx6*x7\nx8*x9\nx10*x11\n",
+    "fig3xb3": "ring 12\nx1*x2*x3\nx2*x3*x4\nx4*x5*x6\nx7*x8\nx9*x10\nx11*x12\n",
 }
 # the star x_i*x_11, i <= 10, in a 4096-variable ring: a Boolean lattice of
 # 1024 wide elements
@@ -142,6 +154,11 @@ def commands(fx: Path) -> tuple:
             path.write_text(f"ring {n}\n" + "".join(
                 "*".join(f"x{v}" for v in sorted(e)) + "\n" for e in gens))
         same.append(["iso", "--ideal", paths[0], "--ideal", paths[1]])
+    factors = []
+    for name, text in PRODUCT_FACTORS.items():
+        factors += ["--ideal", fx / f"{name}.ideal"]
+        factors[-1].write_text(text)
+    same.append(["product", *factors])
     for cmd in ("product", "iso"):
         same.append([cmd, "--ideal", ideal["fig3"], "--ideal", ideal["b2"]])
         same.append([cmd, "--ideal", ideal["powers"], "--ideal", ideal["chain"]])

@@ -291,8 +291,9 @@ def audit_instance(theorem: str, instance) -> AuditReport:
         # polarize keeps the total degree and the lexicographic order of
         # every lcm of generators, and which generators divide it, so both
         # lattices list their elements in one order under the same keys.
-        # _fill_tables reads only the keys and the generator count (the top
-        # key has every generator's bit), so equal keys give equal tables;
+        # The tables and the covers come from the keys and the generator
+        # count alone (the top key has every generator's bit), so equal keys
+        # give equal tables and covers;
         # on those is_isomorphic, trying candidates in ascending order,
         # returns the identity. Report it without filling either table.
         if L.keys == Lp.keys:

@@ -150,7 +150,7 @@ def _cmd_build(args) -> int:
     if args.format == "dot":
         _emit(args, lattice_dot(L))
     else:
-        _emit(args, lattice_json(L.lattice) + "\n")
+        _emit(args, lattice_json(L) + "\n")
     return 0
 
 

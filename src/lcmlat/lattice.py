@@ -1,26 +1,32 @@
 """Finite lattices and lcm-lattices: construction, tables, products, isomorphism.
 
-A FiniteLattice stores its join/meet index tables as numpy arrays and a
-function that renders each label; everything downstream (property
-checks, audits) works off those tables. The order is derived from them
-on its first read: a <= b exactly when a ^ b = a. An LcmLattice stores
-its ideal, its monomial elements and their divisor keys; its atoms are
-the ideal's minimal generators, found among the keys when first read.
+A FiniteLattice stores its join/meet index tables as numpy arrays, a
+function that renders each label and a function that lists its Hasse
+covers; everything downstream (property checks, audits) works off those
+tables. The order is derived from them on its first read: a <= b exactly
+when a ^ b = a. The covers come from how each lattice was built (the keys
+of an lcm-lattice, a product's factors, an interval's parent, the
+definition of a Boolean lattice, a chain, N5 or M3), never from the order,
+and only when they are read. An LcmLattice stores its ideal, its monomial
+elements and their divisor keys; its atoms are the ideal's minimal
+generators, found among the keys when first read.
 
 build_lcm_lattice runs the join-closure on arrays: each round joins one
 generator to every distinct exponent row so far and keeps only the rows
 not seen before, so it handles O(m * N) candidate rows for N elements,
 never the 2^m generator subsets. The same rounds key each element by the
 bitmask of the generators dividing it. The elements are held once, as
-tuples in the canonical order of _element_sort_key. The join/meet tables
-are filled from the keys on the first read of LcmLattice.lattice:
-a caller that reads only the elements, the atoms or the ideal
-(is_boolean) never pays for the N x N tables. Every element is the lcm of
-a subset of the generators, so one table over the 2^m generator subsets
-(the least element whose key contains each subset) turns join and meet
-into gathers, in row blocks of about kernels.BLOCK_BYTES each. Each label is
-rendered from its tuple later still, when it is read: most verdicts read
-none, and a witness reads only the few it names.
+tuples in the canonical order of _element_sort_key. Every element is the
+lcm of a subset of the generators, so one table over the 2^m generator
+subsets (the least element whose key contains each subset) turns join and
+meet into gathers. An LcmLattice builds that table once, on first need,
+and reads it for two things: its covers (the joins of each element with
+each generator, O(N * m^2)) and, on the first read of LcmLattice.lattice,
+the join/meet tables, in row blocks of about kernels.BLOCK_BYTES each. A
+caller that reads only the elements, the atoms, the ideal (is_boolean) or
+the exports (labels and covers) never pays for the N x N tables. Each
+label is rendered from its tuple when it is read: most verdicts read none,
+and a witness reads only the few it names.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import json
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -45,10 +51,12 @@ from .monomials import (
 # (measured with tracemalloc at N = 448..2560, modular or not): the int32
 # join/meet and the derived bool leq (4 + 4 + 1) plus either the searches'
 # int32 cancellation keys, their sorted copy and a bool mask (4 + 4 + 1) or, for
-# the export and Björner's test, the float32 order copy + float32 sizes (4 + 4).
-# N = 6000 keeps that peak at 20 * 6000^2 = 0.72e9 bytes, under 1 GB; a
-# 12-edge matching (4096 elements) still builds. The cap dates from a peak
-# of 24 bytes per cell and is kept, so the inputs it refuses stay the same.
+# Björner's test alone, the float32 order copy + float32 sizes (4 + 4). The
+# exports read no N x N table: their covers come from the keys, a few index
+# pairs per element. N = 6000 keeps that peak at 20 * 6000^2 = 0.72e9 bytes,
+# under 1 GB; a 12-edge matching (4096 elements) still builds. The cap dates
+# from a peak of 24 bytes per cell and is kept, so the inputs it refuses stay
+# the same.
 MAX_ELEMENTS = 6000
 # product() writes 8 bytes per cell of its N x N tables, N = |L1|*|L2|, the
 # int32 join and meet, each broadcast straight into its final layout; the
@@ -57,7 +65,8 @@ MAX_ELEMENTS = 6000
 # is kept, so the inputs it refuses stay the same.
 MAX_PRODUCT = 6400
 # MAX_KEY_BITS (from monomials) caps the generators at the key width of
-# _fill_tables' subset table.
+# _subset_table: 4 bytes per generator subset, 64 MiB at 24 bits, kept with
+# the lattice once built, since its covers and its tables both read it.
 # MAX_CELLS (from monomials) caps elements x ring variables: about 16 bytes
 # per cell through the build and is_boolean's scan, and 12 in the round that
 # passes the cap (the old rows, their join, its split rows), so a refusal
@@ -68,18 +77,41 @@ class SizeLimitError(ValueError):
     pass
 
 
+class _Exported:
+    """What the exports read, shared by FiniteLattice and LcmLattice: the
+    labels, rendered by `names`, and the JSON dict of the labels, the
+    atoms and the covers. Neither reads a join or meet table."""
+
+    @cached_property
+    def labels(self) -> tuple:
+        return tuple(map(self.names, range(self.size)))
+
+    def to_json_dict(self) -> dict:
+        covers = hasse_edges(self)
+        bot = self.bottom
+        return {
+            "elements": list(self.labels),
+            "atoms": [b for a, b in covers if a == bot],
+            "covers": covers,  # json writes each pair as an array
+        }
+
+
 @dataclass(frozen=True, eq=False)
-class FiniteLattice:
+class FiniteLattice(_Exported):
     """A finite bounded lattice given by its join / meet index tables.
 
     The order is derived, not stored: a <= b exactly when a ^ b = a, so
     `leq` is read off meet_table on its first read. `names` renders the
-    label of one index; it is called only for the labels read.
+    label of one index; it is called only for the labels read. `covers`
+    returns the Hasse covers as two index arrays (below, above), b covering
+    a, in row-major order; each builder passes one that derives them from
+    its own construction, called only when the covers are read.
     """
 
     join_table: np.ndarray  # int32 (n, n)
     meet_table: np.ndarray  # int32 (n, n)
     names: Callable[[int], str] = str
+    covers: Callable[[], tuple] = field(kw_only=True, repr=False)
 
     def __post_init__(self):
         for arr in (self.join_table, self.meet_table):
@@ -91,10 +123,6 @@ class FiniteLattice:
         leq = self.meet_table == np.arange(self.size, dtype=np.int32)[:, None]
         leq.setflags(write=False)
         return leq
-
-    @cached_property
-    def labels(self) -> tuple:
-        return tuple(map(self.names, range(self.size)))
 
     @property
     def size(self) -> int:
@@ -143,30 +171,23 @@ class FiniteLattice:
                 self.join_table, self.meet_table)
         return getattr(kernels, name)(self.join_table, self.meet_table, self.leq, keys)
 
-    def to_json_dict(self) -> dict:
-        covers = hasse_edges(self)
-        bot = self.bottom
-        return {
-            "elements": list(self.labels),
-            "atoms": [b for a, b in covers if a == bot],
-            "covers": covers,  # json writes each pair as an array
-        }
-
 
 @dataclass(frozen=True, eq=False)
-class LcmLattice:
+class LcmLattice(_Exported):
     """The lcm-lattice of a monomial ideal, keeping the monomial behind each element.
 
-    `lattice` (the join/meet tables) is filled from `elements` and `keys`
-    on its first read and cached; later reads return the same
-    FiniteLattice, which renders each label from `elements` when it is
-    read. The atoms are the minimal generators, one per generator of the
-    ideal: the elements whose key is one generator's bit.
+    `lattice` (the join/meet tables) is filled from `keys` on its first
+    read and cached; later reads return the same FiniteLattice, which
+    renders each label from `elements` when it is read. The labels, the
+    covers and the exports need no table. The atoms are the minimal
+    generators, one per generator of the ideal: the elements whose key is
+    one generator's bit.
     """
 
     ideal: MonomialIdeal
     elements: tuple                 # monomials; index 0 is the unit (0-hat)
     keys: tuple = field(repr=False)  # ints, the divisor bitmask of each element
+    bottom = 0  # the unit
 
     @property
     def size(self) -> int:
@@ -176,9 +197,20 @@ class LcmLattice:
     def atom_count(self) -> int:
         return len(self.ideal.generators)
 
+    def names(self, i: int) -> str:
+        return monomial_str(self.elements[i])
+
+    @cached_property
+    def _least(self) -> np.ndarray:
+        """The subset table that the covers and the table fill both read."""
+        return _subset_table(self.keys, self.atom_count)
+
+    def covers(self) -> tuple:
+        return _lcm_covers(self._least, self.keys)
+
     @cached_property
     def lattice(self) -> FiniteLattice:
-        return _fill_tables(self.elements, self.keys, self.atom_count)
+        return _fill_tables(self._least, self.keys, self.elements)
 
 
 def _element_sort_key(m):
@@ -243,7 +275,7 @@ def build_lcm_lattice(I: MonomialIdeal) -> LcmLattice:
 
     The tables are not built here: the returned LcmLattice fills them on
     the first read of its `lattice` (see _fill_tables), after the cap check
-    has passed.
+    has passed, and reads its covers from the keys without them.
     """
     m = len(I.generators)
     if m > MAX_KEY_BITS:
@@ -265,40 +297,80 @@ def build_lcm_lattice(I: MonomialIdeal) -> LcmLattice:
     return LcmLattice(I, elements, keys)
 
 
-def _fill_tables(elements: tuple, keys: tuple, m: int) -> FiniteLattice:
-    """The join/meet tables of `elements` keyed by `keys`; each label is
-    rendered from `elements` when it is read.
+def _subset_table(keys: tuple, m: int) -> np.ndarray:
+    """least[s], for every m-bit mask s, is the first element, in index
+    order, whose key contains s: every entry starts at N, each element is
+    scattered to its own key, and m passes take the minimum over supersets,
+    one bit each.
 
-    least[s] is the first element, in index order, whose key contains the
-    m-bit mask s: every entry starts at N, each element is scattered to its
-    own key, and m passes take the minimum over supersets, one bit each.
-
-    On keys, join(a, b) is the lcm of
-    the generators in key(a) | key(b), and meet(a, b) the lcm of those in
-    key(a) & key(b). The lcm of the generators in a mask s is an element,
-    its key contains s, and it divides every element whose key contains s.
-    So it is least[s] provided the index order extends divisibility, as
-    the order of _element_sort_key (total degree first) does. The tables
-    are gathers from least, in row blocks of about kernels.BLOCK_BYTES.
+    The lcm of the generators in s is an element, its key contains s, and
+    it divides every element whose key contains s. So least[s] is that lcm,
+    provided the index order extends divisibility, as the order of
+    _element_sort_key (total degree first) does.
     """
     size = len(keys)
-    keys = np.array(keys, dtype=np.intp)
     least = np.full(1 << m, size, dtype=np.int32)
-    least[keys] = np.arange(size, dtype=np.int32)
+    least[np.array(keys, dtype=np.intp)] = np.arange(size, dtype=np.int32)
     for j in range(m):
         pairs = least.reshape(-1, 2, 1 << j)
         np.minimum(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
+    return least
 
+
+def _fill_tables(least: np.ndarray, keys: tuple, elements: tuple) -> FiniteLattice:
+    """The join/meet tables of `elements` keyed by `keys`, gathered from
+    their subset table `least` (see _subset_table) in row blocks of about
+    kernels.BLOCK_BYTES; each label is rendered from `elements` when it is
+    read.
+
+    On keys, join(a, b) is the lcm of the generators in key(a) | key(b),
+    so least[key(a) | key(b)], and meet(a, b) the lcm of those in
+    key(a) & key(b), so least[key(a) & key(b)]. The covers are read from
+    the same table, by _lcm_covers.
+    """
+    size = len(keys)
+    keys = np.array(keys, dtype=np.intp)
     join = np.empty((size, size), dtype=np.int32)
     meet = np.empty((size, size), dtype=np.int32)
     for blk in _row_blocks(size, 16 * size):
         ka, kb = keys[blk, None], keys[None, :]
         join[blk] = least[ka | kb]
         meet[blk] = least[ka & kb]
-
     # cached: a label can be long (one factor per variable of a wide ring),
     # and witnesses may name one element several times
-    return FiniteLattice(join, meet, cache(lambda i: monomial_str(elements[i])))
+    return FiniteLattice(join, meet, cache(lambda i: monomial_str(elements[i])),
+                         covers=partial(_lcm_covers, least, keys))
+
+
+def _lcm_covers(least: np.ndarray, keys) -> tuple:
+    """The Hasse covers of an lcm-lattice from its keys and subset table, as
+    (below, above) in row-major order: O(N * m^2) on N elements.
+
+    An lcm-lattice is atomistic, its atoms the m minimal generators
+    (Gasharov, Peeva and Welker, Math. Res. Lett. 6, 1999), so each upper
+    cover of a is a join a v g_k with g_k not dividing a, which is
+    least[key(a) | 1 << k]. Such a c = a v g_k covers a iff a v g_j = c for
+    every g_j that divides c and not a: each such a v g_j lies in (a, c],
+    and an element d strictly between a and c lies above a v g_j for some
+    g_j dividing d, hence c, and not a. So c covers a iff the bits key(c)
+    adds to key(a) are exactly the bits j with a v g_j = c, and the lowest
+    of them names the pair once.
+    """
+    keys = np.asarray(keys, dtype=np.intp)
+    bits = 1 << np.arange(least.size.bit_length() - 1, dtype=np.intp)
+    joins = least[keys[:, None] | bits]  # (N, m): a v g_k
+    added = keys[joins] & ~keys[:, None]
+    same = np.zeros_like(added)
+    for j, bit in enumerate(bits):
+        same |= np.where(joins == joins[:, j, None], bit, 0)
+    below, k = np.nonzero((added == same) & ((added & -added) == bits))
+    return _row_major(below, joins[below, k])
+
+
+def _row_major(below: np.ndarray, above: np.ndarray) -> tuple:
+    """The pairs (below[i], above[i]) sorted by below, then above."""
+    order = np.lexsort((above, below))
+    return below[order], above[order]
 
 
 def enumerate_subset_lcms(I: MonomialIdeal):
@@ -312,25 +384,41 @@ def enumerate_subset_lcms(I: MonomialIdeal):
 
 
 def interval(L: FiniteLattice, x: int, y: int):
-    """The sublattice [x, y], plus the original indices of its elements."""
+    """The sublattice [x, y], plus the original indices of its elements.
+
+    Its covers are L's covers with both ends in [x, y]: an element strictly
+    between two elements of [x, y] lies in [x, y] too.
+    """
     L._check_index(x)
     L._check_index(y)
     if not L.leq[x, y]:
         raise ValueError(f"interval requires x <= y; got {x} and {y}")
-    idx = np.nonzero(L.leq[x] & L.leq[:, y])[0]
+    inside = L.leq[x] & L.leq[:, y]
+    idx = np.nonzero(inside)[0]
     remap = np.full(L.size, -1, dtype=np.int32)
     remap[idx] = np.arange(len(idx), dtype=np.int32)
     original = idx.tolist()
+
+    def covers():
+        below, above = L.covers()
+        keep = inside[below] & inside[above]
+        return remap[below[keep]], remap[above[keep]]  # remap keeps the order
+
     sub = FiniteLattice(
         remap[L.join_table[np.ix_(idx, idx)]],
         remap[L.meet_table[np.ix_(idx, idx)]],
         lambda k: L.names(original[k]),
+        covers=covers,
     )
     return sub, original
 
 
 def product(L1: FiniteLattice, L2: FiniteLattice) -> FiniteLattice:
-    """Componentwise product; element (i, j) lives at index i*|L2| + j."""
+    """Componentwise product; element (i, j) lives at index i*|L2| + j.
+
+    (i, j) is covered by (k, l) iff one coordinate is equal and the other a
+    cover, so the covers come from the factors' covers.
+    """
     n1, n2 = L1.size, L2.size
     n = n1 * n2
     if n > MAX_PRODUCT:
@@ -341,37 +429,60 @@ def product(L1: FiniteLattice, L2: FiniteLattice) -> FiniteLattice:
     def grid(t1, t2):
         return (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(n, n)
 
+    def covers():
+        (a1, b1), (a2, b2) = L1.covers(), L2.covers()
+        i, j = np.arange(n1)[:, None], np.arange(n2)[:, None]
+        return _row_major(np.concatenate([(i * n2 + a2).ravel(), (a1 * n2 + j).ravel()]),
+                          np.concatenate([(i * n2 + b2).ravel(), (b1 * n2 + j).ravel()]))
+
     return FiniteLattice(
         grid(L1.join_table, L2.join_table),
         grid(L1.meet_table, L2.meet_table),
         lambda i: f"({L1.names(i // n2)},{L2.names(i % n2)})",
+        covers=covers,
     )
 
 
 def boolean_lattice(r: int) -> FiniteLattice:
     """Subsets of {1..r} ordered by inclusion; join = union, meet = intersection.
-    Refuses 2^r > MAX_ELEMENTS, i.e. r > 12."""
+    A subset is covered by itself plus one element. Refuses 2^r > MAX_ELEMENTS,
+    i.e. r > 12."""
     if r < 0:
         raise ValueError("rank must be non-negative")
     max_rank = MAX_ELEMENTS.bit_length() - 1
     if r > max_rank:
         raise SizeLimitError(f"rank {r} exceeds the cap {max_rank}")
     masks = np.arange(1 << r, dtype=np.int32)
+
+    def covers():
+        # row-major: the added bit i rises along each row
+        below, i = np.nonzero((masks[:, None] >> np.arange(r) & 1) == 0)
+        return below, below | 1 << i
+
     return FiniteLattice(
         np.bitwise_or.outer(masks, masks),
         np.bitwise_and.outer(masks, masks),
         lambda mask: "{" + ",".join(str(i + 1) for i in range(r) if mask >> i & 1) + "}",
+        covers=covers,
     )
 
 
 def chain_lattice(n: int) -> FiniteLattice:
-    """A total order on n elements."""
+    """A total order on n elements; i is covered by i + 1."""
     if n < 1:
         raise ValueError("chain needs at least one element")
     if n > MAX_ELEMENTS:
         raise SizeLimitError(f"chain size {n} exceeds the cap {MAX_ELEMENTS}")
     idx = np.arange(n, dtype=np.int32)
-    return FiniteLattice(np.maximum.outer(idx, idx), np.minimum.outer(idx, idx))
+    return FiniteLattice(np.maximum.outer(idx, idx), np.minimum.outer(idx, idx),
+                         covers=lambda: (idx[:-1], idx[1:]))
+
+
+def _literal(join, meet, labels, covers) -> FiniteLattice:
+    """A five-element lattice from its literal tables, labels and covers."""
+    below, above = np.array(covers).T
+    return FiniteLattice(np.array(join, dtype=np.int32), np.array(meet, dtype=np.int32),
+                         labels.__getitem__, covers=lambda: (below, above))
 
 
 def pentagon_lattice() -> FiniteLattice:
@@ -386,8 +497,8 @@ def pentagon_lattice() -> FiniteLattice:
             [0, 1, 2, 0, 2],
             [0, 0, 0, 3, 3],
             [0, 1, 2, 3, 4]]
-    return FiniteLattice(np.array(join, dtype=np.int32), np.array(meet, dtype=np.int32),
-                         ("0", "x", "y", "a", "1").__getitem__)
+    return _literal(join, meet, ("0", "x", "y", "a", "1"),
+                    [(0, 1), (0, 3), (1, 2), (2, 4), (3, 4)])
 
 
 def diamond_lattice() -> FiniteLattice:
@@ -402,36 +513,28 @@ def diamond_lattice() -> FiniteLattice:
             [0, 0, 2, 0, 2],
             [0, 0, 0, 3, 3],
             [0, 1, 2, 3, 4]]
-    return FiniteLattice(np.array(join, dtype=np.int32), np.array(meet, dtype=np.int32),
-                         ("0", "a", "b", "c", "1").__getitem__)
+    return _literal(join, meet, ("0", "a", "b", "c", "1"),
+                    [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
 
 
-def _interval_sizes(L: FiniteLattice) -> np.ndarray:
-    """sizes[a, b] = |[a, b]|, the number of c with a <= c <= b.
-
-    A float32 matmul of 0/1 entries, exact below 2^24 elements. It is 0
-    unless a <= b and 1 on the diagonal, so the covers are sizes == 2 and
-    the 3-element intervals are sizes == 3.
-    """
-    as_float = L.leq.astype(np.float32)
-    return as_float @ as_float
-
-
-def hasse_edges(L: FiniteLattice):
-    """Cover pairs (a, b) in row-major order: the 2-element intervals [a, b]."""
-    below, above = np.nonzero(_interval_sizes(L) == 2)
+def hasse_edges(L) -> list:
+    """Cover pairs (a, b), b covering a, in row-major order, as the builder
+    of L (a FiniteLattice or an LcmLattice) derives them."""
+    below, above = L.covers()
     return list(zip(below.tolist(), above.tolist()))
 
 
 def _refine_invariants(L: FiniteLattice):
     """Iterated neighborhood refinement; isomorphism-invariant color per element."""
-    covers = _interval_sizes(L) == 2
+    below_idx, above_idx = L.covers()
+    n = L.size
     # up- and down-set sizes count the element itself; that shifts no ranking
-    counts = (L.leq.sum(axis=1), L.leq.sum(axis=0), covers.sum(axis=1), covers.sum(axis=0))
+    counts = (L.leq.sum(axis=1), L.leq.sum(axis=0),
+              np.bincount(below_idx, minlength=n), np.bincount(above_idx, minlength=n))
     color = list(zip(*(c.tolist() for c in counts)))
-    above = [[] for _ in range(L.size)]
-    below = [[] for _ in range(L.size)]
-    for a, b in zip(*(idx.tolist() for idx in np.nonzero(covers))):
+    above = [[] for _ in range(n)]
+    below = [[] for _ in range(n)]
+    for a, b in zip(below_idx.tolist(), above_idx.tolist()):
         above[a].append(b)
         below[b].append(a)
     for _ in range(L.size):
@@ -520,7 +623,8 @@ def is_isomorphic(L1: FiniteLattice, L2: FiniteLattice):
 
 # --- exports ----------------------------------------------------------------
 
-def lattice_json(L: FiniteLattice) -> str:
+def lattice_json(L) -> str:
+    """JSON export of a FiniteLattice or an LcmLattice; neither fills a table."""
     return json.dumps(L.to_json_dict(), sort_keys=True)
 
 
@@ -528,7 +632,7 @@ def lattice_dot(L: LcmLattice) -> str:
     """DOT export: nodes labeled by monomial, ranked by total degree."""
     lines = ["digraph lcmlattice {", "  rankdir=BT;"]
     by_degree = {}
-    labels = L.lattice.labels
+    labels = L.labels
     for i, m in enumerate(L.elements):
         label = "0̂" if i == 0 else labels[i]
         lines.append(f'  "{labels[i]}" [label="{label}"];')
@@ -536,7 +640,7 @@ def lattice_dot(L: LcmLattice) -> str:
     for _, group in sorted(by_degree.items()):
         names = " ".join(f'"{labels[i]}"' for i in group)
         lines.append(f"  {{ rank=same; {names} }}")
-    for a, b in hasse_edges(L.lattice):
+    for a, b in hasse_edges(L):
         lines.append(f'  "{labels[a]}" -> "{labels[b]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

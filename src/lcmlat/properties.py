@@ -36,7 +36,6 @@ from . import kernels
 from .lattice import (
     FiniteLattice,
     LcmLattice,
-    _interval_sizes,
     boolean_lattice,  # noqa: F401 -- unused; perfbench/tracer.py patches this name
     interval,
     is_isomorphic,  # noqa: F401 -- unused; perfbench/tracer.py patches this name
@@ -254,6 +253,17 @@ def is_complemented(L: FiniteLattice) -> PropertyVerdict:
     )
 
 
+def _interval_sizes(L: FiniteLattice) -> np.ndarray:
+    """sizes[a, b] = |[a, b]|, the number of c with a <= c <= b.
+
+    A float32 matmul of 0/1 entries, exact below 2^24 elements. It is 0
+    unless a <= b and 1 on the diagonal, so the 3-element intervals are
+    sizes == 3.
+    """
+    as_float = L.leq.astype(np.float32)
+    return as_float @ as_float
+
+
 def is_relatively_complemented(L: FiniteLattice) -> PropertyVerdict:
     """Every interval [x, y] is complemented as a lattice in its own right.
 
@@ -294,5 +304,10 @@ def decide(name: str, L: LcmLattice) -> PropertyVerdict:
 
 
 def all_properties(L: LcmLattice) -> list:
-    """The fixed order used by `check --property all`."""
-    return [decide(name, L) for name in PROPERTIES]
+    """The fixed order used by `check --property all`, with is_boolean run
+    once: a Boolean lattice has every property, and on any other |L| != 2^m
+    (is_boolean raises if the count and its second route disagree), so
+    decide does not run it again."""
+    boolean = is_boolean(L)
+    return [boolean] + [PropertyVerdict(name, True) if boolean.holds else decide(name, L)
+                        for name in PROPERTIES[1:]]

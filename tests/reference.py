@@ -1,7 +1,9 @@
 """The tests' reference helpers. The lattice builder makes tables from an
 order matrix or from Hasse edges, by brute force over the upper and lower
 bounds of each pair; it shares no code with build_lcm_lattice's
-join-closure and table fill. lcm, divides and atom_indices are the
+join-closure and table fill. Its lattices read their covers off the
+order, as the 2-element intervals of the float32 interval-size product
+(interval_covers), the oracle for every builder's own covers. lcm, divides and atom_indices are the
 definitions the tests compare the program against, and the join-irreducible
 valuation test decides distributivity on any lattice's tables, a route
 independent of the searches and of the count that properties uses."""
@@ -10,6 +12,7 @@ import numpy as np
 
 from lcmlat.kernels import _is_valuation
 from lcmlat.lattice import FiniteLattice
+from lcmlat.properties import _interval_sizes
 from lcmlat.monomials import DimensionMismatch
 
 
@@ -80,7 +83,19 @@ def from_leq(leq, labels=()) -> FiniteLattice:
             if len(greatest) != 1:
                 raise ValueError(f"no unique greatest lower bound for ({a}, {b})")
             meet[a, b] = meet[b, a] = greatest[0]
-    return FiniteLattice(join, meet, tuple(labels).__getitem__ if labels else str)
+    return from_tables(join, meet, tuple(labels).__getitem__ if labels else str)
+
+
+def interval_covers(L) -> tuple:
+    """The covers of L as (below, above) in row-major order: the 2-element
+    intervals [a, b], from the order alone."""
+    return np.nonzero(_interval_sizes(L) == 2)
+
+
+def from_tables(join, meet, names=str) -> FiniteLattice:
+    """A FiniteLattice on the given tables whose covers are interval_covers."""
+    L = FiniteLattice(join, meet, names, covers=lambda: interval_covers(L))
+    return L
 
 
 def from_covers(n: int, covers, labels=()) -> FiniteLattice:

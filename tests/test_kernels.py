@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from lcmlat import kernels
 from lcmlat.audit import GeneratorConfig, SplitMix64, random_monomial_ideal
 from lcmlat.lattice import (
-    FiniteLattice,
-    _interval_sizes,
     boolean_lattice,
     build_lcm_lattice,
     chain_lattice,
@@ -15,8 +13,8 @@ from lcmlat.lattice import (
     pentagon_lattice,
     product,
 )
-from lcmlat.properties import is_modular
-from reference import distributive_by_valuation, from_covers, join_irreducibles
+from lcmlat.properties import _interval_sizes, is_modular
+from reference import distributive_by_valuation, from_covers, from_tables, join_irreducibles
 from strategies import ideal_strategy
 
 
@@ -106,7 +104,7 @@ def _permuted(L, new):
     new = np.asarray(new)
     old = np.argsort(new)
     ix = np.ix_(old, old)
-    return FiniteLattice(
+    return from_tables(
         new[L.join_table[ix]].astype(np.int32), new[L.meet_table[ix]].astype(np.int32)
     )
 
@@ -221,7 +219,7 @@ def test_lattice_searches_share_one_key_table(lattice, monkeypatch):
     monkeypatch.setattr(kernels, "_cancellation_keys",
                         lambda join, meet: built.append(1) or keys(join, meet))
     for order in (("pentagon", "diamond"), ("diamond", "pentagon")):
-        fresh = FiniteLattice(lattice.join_table, lattice.meet_table)
+        fresh = from_tables(lattice.join_table, lattice.meet_table)
         for name in order:
             assert getattr(fresh, name) == expected[name]
         assert "_cancellation_keys" not in vars(fresh)

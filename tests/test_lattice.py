@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcmlat import kernels, lattice
-from lcmlat.audit import GeneratorConfig, SplitMix64, random_monomial_ideal
+from lcmlat.audit import GeneratorConfig, SplitMix64, random_monomial_ideal, small_lattice_pool
 from lcmlat.lattice import (
     FiniteLattice,
     SizeLimitError,
@@ -37,8 +37,8 @@ from lcmlat.monomials import (
     polarize,
 )
 from lcmlat.properties import SWEEP_LIMIT, all_properties, is_complemented
-from reference import atom_indices, from_covers, from_leq, lcm
-from strategies import ideal_strategy
+from reference import atom_indices, from_covers, from_leq, interval_covers, lcm
+from strategies import exhaustive_hypergraphs, ideal_strategy
 
 
 class TestBuild:
@@ -362,6 +362,87 @@ def _relabeled_pair(n, edges):
 def _with_matching(n, edges, k):
     """edges plus k disjoint edges on new variables: the lattice times B_k."""
     return n + 2 * k, edges + [{n + 2 * i + 1, n + 2 * i + 2} for i in range(k)]
+
+
+def _assert_covers_are_2_intervals(L):
+    """L's covers, as its builder derives them, equal the 2-element
+    intervals of its order (the reference's float32 product). An
+    LcmLattice's are checked both from its keys and on its tables."""
+    lattices = [L, L.lattice] if hasattr(L, "lattice") else [L]
+    expected = list(zip(*(idx.tolist() for idx in interval_covers(lattices[-1]))))
+    for lat in lattices:
+        assert hasse_edges(lat) == expected
+
+
+def _matching_lattice(m):
+    return build_lcm_lattice(edge_ideal(Hypergraph.make(
+        2 * m, [{2 * i + 1, 2 * i + 2} for i in range(m)])))
+
+
+# M3 x B10 and P4 x B9: the triangle and the path P4, each plus disjoint edges
+_NEAR_CAP = {"m3xb10": _with_matching(3, [{1, 2}, {1, 3}, {2, 3}], 10),
+             "p4xb9": _with_matching(4, [{1, 2}, {2, 3}, {3, 4}], 9)}
+
+
+class TestCovers:
+    """Each builder's covers against the reference's 2-element intervals."""
+
+    def test_exhaustive_stream_lattices(self):
+        ideals = dict.fromkeys(map(edge_ideal, exhaustive_hypergraphs()))
+        # the keys fix the lattice, its covers among them
+        distinct = {L.keys: L for L in map(build_lcm_lattice, ideals)}
+        for L in distinct.values():
+            _assert_covers_are_2_intervals(L)
+
+    @settings(max_examples=60, deadline=None)
+    @given(I=ideal_strategy(4, 6, 2))
+    def test_random_ideals(self, I):
+        _assert_covers_are_2_intervals(build_lcm_lattice(I))
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_matching(self, m):
+        _assert_covers_are_2_intervals(_matching_lattice(m))
+
+    @pytest.mark.parametrize("name", _NEAR_CAP)
+    def test_near_cap_products(self, name):
+        n, edges = _NEAR_CAP[name]
+        _assert_covers_are_2_intervals(build_lcm_lattice(edge_ideal(Hypergraph.make(n, edges))))
+
+    def test_products_of_the_pool(self):
+        pool = [L for _, L in small_lattice_pool()]
+        for L1 in pool:
+            for L2 in pool:
+                _assert_covers_are_2_intervals(product(L1, L2))
+
+    @pytest.mark.parametrize("L", [boolean_lattice(r) for r in range(7)]
+                             + [chain_lattice(n) for n in range(1, 9)]
+                             + [pentagon_lattice(), diamond_lattice()])
+    def test_literal_builders(self, L):
+        _assert_covers_are_2_intervals(L)
+
+    @pytest.mark.parametrize("fixture", ["fig3_lattice", "fig5_lattice", "tetra_lattice"])
+    def test_intervals(self, fixture, request):
+        lat = request.getfixturevalue(fixture).lattice
+        for x, y in zip(*np.nonzero(lat.leq)):
+            _assert_covers_are_2_intervals(interval(lat, int(x), int(y))[0])
+
+    def test_exports_fill_no_table(self):
+        L = _matching_lattice(8)
+        text, dot = lattice_json(L), lattice_dot(L)
+        assert "lattice" not in vars(L)
+        assert text == lattice_json(L.lattice)
+        assert dot.count(" -> ") == 8 << 7
+
+    def test_json_export_near_the_cap_stays_small(self):
+        # the 4096 x 4096 join, meet and order tables alone would take 151 MB
+        L = _matching_lattice(12)
+        tracemalloc.start()
+        try:
+            lattice_json(L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
 
 
 class TestIsomorphism:
@@ -852,7 +933,7 @@ class TestDerivedOrder:
 
         def counting(L):
             return FiniteLattice(L.join_table, L.meet_table,
-                                 lambda i: rendered.append(i) or str(i))
+                                 lambda i: rendered.append(i) or str(i), covers=L.covers)
 
         P = product(counting(boolean_lattice(3)), counting(chain_lattice(4)))
         assert not rendered

@@ -576,6 +576,16 @@ class TestDecide:
             assert verdict.property == name
         assert all_properties(L) == [decide(name, L) for name in PROPERTIES]
 
+    @pytest.mark.parametrize("fixture", ["matching3_lattice", "p4_lattice", "fig3_lattice"])
+    def test_all_properties_runs_is_boolean_once(self, fixture, request, monkeypatch):
+        L = request.getfixturevalue(fixture)
+        expected = [decide(name, L) for name in PROPERTIES]
+        calls = []
+        original = properties.is_boolean
+        monkeypatch.setattr(properties, "is_boolean", lambda L: calls.append(L) or original(L))
+        assert all_properties(L) == expected
+        assert calls == [L]
+
     def test_decider_is_looked_up_per_call(self, monkeypatch, p4_lattice):
         seen = []
         original = properties.is_relatively_complemented
