@@ -1,7 +1,8 @@
 """Compare the lcmlat CLI of two source trees byte for byte.
 
 Runs a fixed list of commands (build json and dot, check with every
-property and conditions, also on M3 x B10 and B12 near the element cap,
+property and conditions, also on M3 x B10, B12 and P4 x B9 near the
+element cap, P4 x B9 pinning a failing relatively-complemented witness,
 polarize, build and check of two 16-generator
 ideals with few elements, check of the Boolean and modular properties on
 a 10-edge star in a 4096-variable ring, polarize of a 299-generator
@@ -19,10 +20,12 @@ one inside the generator limit of 24 and one past it, the removed cap flag
 flag that the subcommand does not read, a missing or doubled input flag,
 a malformed `--n` range, polarize past its ring cap, and `check` on a
 33-edge hypergraph in a 2^20-vertex ring, past the edge-ideal cell cap,
-and on a 25-edge one, past the generator limit)
+and on a 25-edge one, past the generator limit, and an unwritable
+counterexample directory for an audit with disagreements and one without)
 and prints both trees' exit code and stderr, since a refusal may change
-on purpose. Polarize past its cell cap runs on the new tree only: a tree
-without that cap writes all of its 2^25 cells.
+on purpose. Polarize past its cell cap and an audit whose --n passes the
+vertex cap run on the new tree only: a tree without those caps writes all
+of 2^25 cells, or draws hypergraphs on millions of vertices.
 
     mkdir ../parent && git archive <parent commit> | tar -x -C ../parent
     python scripts/cli_bytecheck.py ../parent .
@@ -51,6 +54,9 @@ HYPERGRAPHS = {
     "m3xb10": (23, [[1, 2], [1, 3], [2, 3]] + [[4 + 2 * i, 5 + 2 * i] for i in range(10)]),
     # B12, 4096 elements
     "matching12": (24, [[2 * i + 1, 2 * i + 2] for i in range(12)]),
+    # P4 x B9: the path plus nine disjoint edges, 3584 elements, not
+    # relatively complemented
+    "p4xb9": (22, [[1, 2], [2, 3], [3, 4]] + [[5 + 2 * i, 6 + 2 * i] for i in range(9)]),
 }
 IDEALS = {
     "fig3": "ring 6\nx1*x2*x3\nx2*x3*x4\nx4*x5*x6\n",
@@ -194,6 +200,8 @@ def commands(fx: Path) -> tuple:
     malformed.append(["build", "--ideal", ideal["b2"], "--out", blocked])
     malformed.append(["check", "--ideal", ideal["b2"], "--out", fx])
     malformed.append(["audit", "--theorem", "modular", "--counterexamples", blocked])
+    # the default boolean stream has no disagreement to write
+    malformed.append(["audit", "--theorem", "boolean", "--counterexamples", blocked])
     # 20 generators build since the key width (24) is the only generator
     # limit; 25 pass it
     for g, cmd in ((20, "check"), (25, "build")):
@@ -235,7 +243,9 @@ def commands(fx: Path) -> tuple:
     cells33 = fx / "cells33.ideal"
     cells33.write_text("ring 16\n" + "".join(f"x{i}^65536\n" for i in range(1, 17))
                        + "".join(f"x1^{a}*x2^{65536 - a}\n" for a in range(1, 18)))
-    return same, malformed, [["polarize", "--ideal", cells33]]
+    # --n past the vertex cap 2^20
+    vertex_cap = ["audit", "--theorem", "boolean", "--n", "2..3000000"]
+    return same, malformed, [["polarize", "--ideal", cells33], vertex_cap]
 
 
 def run(tree: str, argv: list) -> tuple:

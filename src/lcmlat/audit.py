@@ -147,13 +147,16 @@ def random_uniform_hypergraph(cfg: GeneratorConfig, rng: SplitMix64 | None = Non
     """m distinct k-subsets drawn without replacement from the seeded stream.
 
     n, k, m are drawn from their ranges with the upper ends clamped to
-    feasibility (k <= n, m <= C(n, k)); an infeasible lower end errors.
+    feasibility (k <= n, m <= C(n, k)); an infeasible lower end errors, and
+    so does k < 1, before any draw.
 
     Each edge is the one at a drawn position among the k-subsets not yet
     drawn, in combinations order: the draw r, stepped past the ranks
     already drawn, is the edge's rank among all C(n, k), and _unrank
     builds it. No list of the C(n, k) subsets is built.
     """
+    if cfg.k_range[0] < 1:
+        raise ValueError(f"edges need k >= 1; got k range {cfg.k_range}")
     rng = rng if rng is not None else SplitMix64(cfg.seed)
     n = rng.in_range(*cfg.n_range)
     k_hi = min(cfg.k_range[1], n)
@@ -176,7 +179,8 @@ def random_uniform_hypergraph(cfg: GeneratorConfig, rng: SplitMix64 | None = Non
             rank += 1
         bisect.insort(drawn, rank)
         edges.append(_unrank(rank, n, k))
-    return Hypergraph.make(n, edges)
+    # distinct ranks give distinct k-subsets of 1..n, k >= 1
+    return Hypergraph._clutter(n, edges)
 
 
 def _unrank(rank: int, n: int, k: int) -> tuple:
@@ -434,8 +438,10 @@ def _instances_for(theorem: str, cfg: GeneratorConfig, exhaustive: bool = False)
         exhaustive = space <= EXHAUSTIVE_THRESHOLD
     if exhaustive:
         for n, k, m in _cells(cfg, graph_only):
+            # distinct k-subsets of 1..n, k >= 1: none empty, out of range
+            # or nested
             for edges in combinations(combinations(range(1, n + 1), k), m):
-                H = Hypergraph.make(n, edges)
+                H = Hypergraph._clutter(n, edges)
                 if not graph_only or H.is_connected():
                     yield H
     else:
@@ -478,9 +484,17 @@ def audit_batch(
 
     Enumerates exhaustively when the instance space has at most
     EXHAUSTIVE_THRESHOLD members (or when forced); otherwise samples
-    cfg.count instances from the seeded stream. Returns (summary, reports);
-    a counterexample that cannot be written raises ValueError.
+    cfg.count instances from the seeded stream. Returns (summary, reports).
+    The counterexample directory is made before the first instance, so one
+    that cannot be made raises ValueError whether or not the stream
+    disagrees; so does a counterexample that cannot be written.
     """
+    if counterexample_dir is not None:
+        out = Path(counterexample_dir)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot write {counterexample_dir}: {exc}")
     reports = []
     for instance in _instances_for(theorem, cfg, exhaustive):
         reports.append(audit_instance(theorem, instance))
@@ -489,10 +503,8 @@ def audit_batch(
     hypothesis_not_met = sum(1 for r in reports if r.predicted == HYPOTHESIS_NOT_MET)
     minimal = min(disagreements, key=_minimality_key, default=None)
 
-    if counterexample_dir is not None and disagreements:
-        out = Path(counterexample_dir)
+    if counterexample_dir is not None:
         try:
-            out.mkdir(parents=True, exist_ok=True)
             for r in disagreements:
                 path = out / f"{theorem}-{instance_hash(r.instance)}.json"
                 path.write_text(r.to_json_line() + "\n")

@@ -24,6 +24,7 @@ from .lattice import (
     product,
 )
 from .monomials import (
+    MAX_RING_DIMENSION,
     edge_ideal,
     ideal_to_text,
     monomial_str,
@@ -57,6 +58,17 @@ def _parse_range(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad range {text!r}; expected 'a..b'")
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return lo, hi
+
+
+def _parse_vertex_range(text: str) -> tuple:
+    """The argparse type of --n: a range whose top is at most
+    MAX_RING_DIMENSION, the cap of the file readers, so an audit over the
+    cap is refused before it draws anything."""
+    lo, hi = _parse_range(text)
+    if hi > MAX_RING_DIMENSION:
+        raise argparse.ArgumentTypeError(
+            f"vertex or variable count {hi} exceeds the cap {MAX_RING_DIMENSION}")
     return lo, hi
 
 
@@ -99,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", required=True, choices=audit_mod.THEOREMS)
     p.add_argument("--count", type=int, default=cfg.count)
     p.add_argument("--seed", type=int, default=cfg.seed)
-    p.add_argument("--n", type=_parse_range, default=cfg.n_range,
+    p.add_argument("--n", type=_parse_vertex_range, default=cfg.n_range,
                    help="vertex/variable range a..b")
     p.add_argument("--k", type=_parse_range, default=cfg.k_range,
                    help="edge size range a..b")

@@ -20,13 +20,14 @@ tuples in the canonical order of _element_sort_key. Every element is the
 lcm of a subset of the generators, so one table over the 2^m generator
 subsets (the least element whose key contains each subset) turns join and
 meet into gathers. An LcmLattice builds that table once, on first need,
-and reads it for two things: its covers (the joins of each element with
-each generator, O(N * m^2)) and, on the first read of LcmLattice.lattice,
-the join/meet tables, in row blocks of about kernels.BLOCK_BYTES each. A
-caller that reads only the elements, the atoms, the ideal (is_boolean) or
-the exports (labels and covers) never pays for the N x N tables. Each
-label is rendered from its tuple when it is read: most verdicts read none,
-and a witness reads only the few it names.
+and reads it for three things: its covers and its first 3-element interval
+(both from the joins of each element with each generator, O(N * m^2)) and,
+on the first read of LcmLattice.lattice, the join/meet tables, in row
+blocks of about kernels.BLOCK_BYTES each. A caller that reads only the
+elements, the atoms, the ideal (is_boolean), the exports (labels and
+covers) or a relatively complemented verdict never pays for the N x N
+tables. Each label is rendered from its tuple when it is read: most
+verdicts read none, and a witness reads only the few it names.
 """
 
 from __future__ import annotations
@@ -49,14 +50,14 @@ from .monomials import (
 # memory bounds below hold for every caller.
 # `check --property all` peaks at about 20 bytes per cell of the N x N tables
 # (measured with tracemalloc at N = 448..2560, modular or not): the int32
-# join/meet and the derived bool leq (4 + 4 + 1) plus either the searches'
-# int32 cancellation keys, their sorted copy and a bool mask (4 + 4 + 1) or, for
-# Björner's test alone, the float32 order copy + float32 sizes (4 + 4). The
-# exports read no N x N table: their covers come from the keys, a few index
-# pairs per element. N = 6000 keeps that peak at 20 * 6000^2 = 0.72e9 bytes,
-# under 1 GB; a 12-edge matching (4096 elements) still builds. The cap dates
-# from a peak of 24 bytes per cell and is kept, so the inputs it refuses stay
-# the same.
+# join/meet and the derived bool leq (4 + 4 + 1) plus the searches' int32
+# cancellation keys, their sorted copy and a bool mask (4 + 4 + 1). The
+# exports and Björner's test read no N x N table: they read the keys, in a
+# few (N, m, m) arrays (see _generator_joins); Björner's test fills the tables
+# only to confirm a failing interval. N = 6000 keeps that peak at
+# 20 * 6000^2 = 0.72e9 bytes, under 1 GB; a 12-edge matching (4096 elements)
+# still builds. The cap dates from a peak of 24 bytes per cell and is kept,
+# so the inputs it refuses stay the same.
 MAX_ELEMENTS = 6000
 # product() writes 8 bytes per cell of its N x N tables, N = |L1|*|L2|, the
 # int32 join and meet, each broadcast straight into its final layout; the
@@ -212,6 +213,32 @@ class LcmLattice(_Exported):
     def lattice(self) -> FiniteLattice:
         return _fill_tables(self._least, self.keys, self.elements)
 
+    def first_3_element_interval(self) -> tuple | None:
+        """The least (x, y) in row-major order with |[x, y]| = 3, read from
+        the keys without a table, or None if there is none.
+
+        The lattice is atomistic (see _lcm_covers). If [x, y] = {x, z, y},
+        then y = x v g_j for some g_j, since y is the join of the x v g_k
+        over the g_k dividing y and not x, and each of those is z or y.
+        Those joins lie in (x, y], so they take exactly the two values z and
+        y. Conversely, let y = x v g_j, and let rest = added[x, j] &
+        ~same[x, j] be the g_k dividing y and not x with x v g_k != y. If
+        rest is one class same[x, k], all its joins are one z < y, and any
+        w in (x, y) is the join of its own x v g_k, each of which is below y,
+        so z: then [x, y] = {x, z, y}. A nonzero rest that is no class gives
+        two joins z1 != z2 below y, so more than 3 elements, and rest = 0
+        means y covers x (or y = x).
+        """
+        _, joins, added, same = _generator_joins(self._least, self.keys)
+        rest = added & ~same
+        # same[x, k] is never 0, so a rest of 0 matches no class
+        chain = (same[:, None, :] == rest[:, :, None]).any(axis=2)
+        rows = np.flatnonzero(chain.any(axis=1))
+        if len(rows) == 0:
+            return None
+        x = int(rows[0])
+        return x, int(joins[x, chain[x]].min())
+
 
 def _element_sort_key(m):
     """Total degree, then lexicographic exponents: the unit comes first, and
@@ -356,15 +383,24 @@ def _lcm_covers(least: np.ndarray, keys) -> tuple:
     adds to key(a) are exactly the bits j with a v g_j = c, and the lowest
     of them names the pair once.
     """
-    keys = np.asarray(keys, dtype=np.intp)
-    bits = 1 << np.arange(least.size.bit_length() - 1, dtype=np.intp)
-    joins = least[keys[:, None] | bits]  # (N, m): a v g_k
-    added = keys[joins] & ~keys[:, None]
-    same = np.zeros_like(added)
-    for j, bit in enumerate(bits):
-        same |= np.where(joins == joins[:, j, None], bit, 0)
+    bits, joins, added, same = _generator_joins(least, keys)
     below, k = np.nonzero((added == same) & ((added & -added) == bits))
     return _row_major(below, joins[below, k])
+
+
+def _generator_joins(least: np.ndarray, keys) -> tuple:
+    """The (N, m) arrays that an lcm-lattice's covers and its 3-element
+    intervals are read from, with bits[k] = 1 << k: joins[a, k], the index
+    of a v g_k (least[key(a) | 1 << k]); added[a, k], the bits key(a v g_k)
+    adds to key(a); same[a, k], the bits j with a v g_j = a v g_k, from one
+    broadcast comparison, summed over j in integers. same[a, k] always
+    holds bit k, and when g_k does not divide a it lies within added[a, k]."""
+    keys = np.asarray(keys, dtype=np.intp)
+    bits = 1 << np.arange(least.size.bit_length() - 1, dtype=np.intp)
+    joins = least[keys[:, None] | bits]
+    added = keys[joins] & ~keys[:, None]
+    same = np.einsum("akj,j->ak", joins[:, :, None] == joins[:, None, :], bits)
+    return bits, joins, added, same
 
 
 def _row_major(below: np.ndarray, above: np.ndarray) -> tuple:

@@ -204,6 +204,17 @@ class Hypergraph:
     def make(cls, vertex_count: int, edges) -> "Hypergraph":
         return cls(vertex_count, tuple(frozenset(e) for e in edges))
 
+    @classmethod
+    def _clutter(cls, vertex_count: int, edges) -> "Hypergraph":
+        """A hypergraph of edges that are nonempty, within 1..vertex_count,
+        distinct and not nested by construction: the distinct k-subsets,
+        k >= 1, that the audit enumerates or draws. __post_init__'s range,
+        duplicate and pairwise nesting checks are skipped."""
+        H = object.__new__(cls)
+        object.__setattr__(H, "vertex_count", vertex_count)
+        object.__setattr__(H, "edges", tuple(map(frozenset, edges)))
+        return H
+
     def uniformity(self) -> int | None:
         """The common edge cardinality k, or None if edges vary in size."""
         sizes = {len(e) for e in self.edges}

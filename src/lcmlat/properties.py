@@ -23,7 +23,10 @@ complements in lattices of finite length", Discrete Math. 36, 1981): a
 lattice of finite length is relatively complemented iff it has no 3-element
 interval. Intervals of at most 2 elements are complemented and a 3-element
 interval is a chain, so the least failing interval is the first 3-element
-one and its complement-free element is the middle.
+one and its complement-free element is the middle. An lcm-lattice is
+atomistic, so that interval is read from the keys, in integers and with no
+table; only a failing one is built from the tables and must fail
+is_complemented.
 """
 
 from __future__ import annotations
@@ -253,37 +256,30 @@ def is_complemented(L: FiniteLattice) -> PropertyVerdict:
     )
 
 
-def _interval_sizes(L: FiniteLattice) -> np.ndarray:
-    """sizes[a, b] = |[a, b]|, the number of c with a <= c <= b.
-
-    A float32 matmul of 0/1 entries, exact below 2^24 elements. It is 0
-    unless a <= b and 1 on the diagonal, so the 3-element intervals are
-    sizes == 3.
-    """
-    as_float = L.leq.astype(np.float32)
-    return as_float @ as_float
-
-
-def is_relatively_complemented(L: FiniteLattice) -> PropertyVerdict:
+def is_relatively_complemented(L: LcmLattice) -> PropertyVerdict:
     """Every interval [x, y] is complemented as a lattice in its own right.
 
     Björner (Discrete Math. 36, 1981): a lattice of finite length is
     relatively complemented iff no interval has exactly 3 elements.
     Intervals of at most 2 elements are complemented, and a 3-element
     interval is a chain whose middle has no complement, so the witness is
-    the first such [x, y] in row-major order and its middle element.
+    the first such [x, y] in row-major order, read from the keys
+    (LcmLattice.first_3_element_interval), and its middle element. Only
+    then are the tables filled: the interval is built from them and
+    is_complemented must fail on it.
     """
-    hits = np.flatnonzero(_interval_sizes(L) == 3)
-    if len(hits) == 0:
+    hit = L.first_3_element_interval()
+    if hit is None:
         return PropertyVerdict("relatively-complemented", True)
-    x, y = divmod(int(hits[0]), L.size)
-    sub, idx = interval(L, x, y)
+    x, y = hit
+    lat = L.lattice
+    sub, idx = interval(lat, x, y)
     verdict = is_complemented(sub)
     if verdict.holds:
         raise RuntimeError(f"relatively-complemented routes disagree on [{x}, {y}]")
     return PropertyVerdict("relatively-complemented", False, {
-        "interval_bottom": _labeled(L, x), "interval_top": _labeled(L, y),
-        "element": _labeled(L, idx[verdict.witness["element"]["index"]])})
+        "interval_bottom": _labeled(lat, x), "interval_top": _labeled(lat, y),
+        "element": _labeled(lat, idx[verdict.witness["element"]["index"]])})
 
 
 def decide(name: str, L: LcmLattice) -> PropertyVerdict:
@@ -291,7 +287,7 @@ def decide(name: str, L: LcmLattice) -> PropertyVerdict:
 
     A Boolean lattice has every property, so when |L| = 2^m and is_boolean
     confirms it, the verdict holds and no table is read. Otherwise
-    is_boolean and is_distributive read L itself, the others its tables.
+    is_modular and is_complemented read L's tables, the others L itself.
     Each decider is looked up by name on every call, so a wrapper set on
     this module's attribute sees it.
     """
@@ -300,7 +296,7 @@ def decide(name: str, L: LcmLattice) -> PropertyVerdict:
     if name != "boolean" and L.size == 1 << L.atom_count and is_boolean(L).holds:
         return PropertyVerdict(name, True)
     decider = globals()["is_" + name.replace("-", "_")]
-    return decider(L if name in ("boolean", "distributive") else L.lattice)
+    return decider(L.lattice if name in ("modular", "complemented") else L)
 
 
 def all_properties(L: LcmLattice) -> list:

@@ -3,16 +3,18 @@ order matrix or from Hasse edges, by brute force over the upper and lower
 bounds of each pair; it shares no code with build_lcm_lattice's
 join-closure and table fill. Its lattices read their covers off the
 order, as the 2-element intervals of the float32 interval-size product
-(interval_covers), the oracle for every builder's own covers. lcm, divides and atom_indices are the
-definitions the tests compare the program against, and the join-irreducible
-valuation test decides distributivity on any lattice's tables, a route
-independent of the searches and of the count that properties uses."""
+(_interval_sizes, interval_covers), the oracle for every builder's own
+covers; the same product's first 3-element interval is the oracle for
+the one that is_relatively_complemented reads from the keys. lcm,
+divides and atom_indices are the definitions the tests compare the
+program against, and the join-irreducible valuation test decides
+distributivity on any lattice's tables, a route independent of the
+searches and of the count that properties uses."""
 
 import numpy as np
 
 from lcmlat.kernels import _is_valuation
 from lcmlat.lattice import FiniteLattice
-from lcmlat.properties import _interval_sizes
 from lcmlat.monomials import DimensionMismatch
 
 
@@ -84,6 +86,23 @@ def from_leq(leq, labels=()) -> FiniteLattice:
                 raise ValueError(f"no unique greatest lower bound for ({a}, {b})")
             meet[a, b] = meet[b, a] = greatest[0]
     return from_tables(join, meet, tuple(labels).__getitem__ if labels else str)
+
+
+def _interval_sizes(L: FiniteLattice) -> np.ndarray:
+    """sizes[a, b] = |[a, b]|, the number of c with a <= c <= b.
+
+    A float32 matmul of 0/1 entries, exact below 2^24 elements. It is 0
+    unless a <= b and 1 on the diagonal.
+    """
+    as_float = L.leq.astype(np.float32)
+    return as_float @ as_float
+
+
+def first_3_element_interval(sizes: np.ndarray):
+    """The least (x, y) in row-major order with sizes[x, y] = 3, or None,
+    from the interval sizes of an n-element lattice."""
+    hits = np.flatnonzero(sizes == 3)
+    return None if len(hits) == 0 else divmod(int(hits[0]), len(sizes))
 
 
 def interval_covers(L) -> tuple:

@@ -23,6 +23,7 @@ from lcmlat.audit import (
 )
 from lcmlat.lattice import build_lcm_lattice, is_isomorphic
 from lcmlat.monomials import MAX_EXPONENT, Hypergraph, MonomialIdeal, minimalize, polarize
+from strategies import EXHAUSTIVE_STREAMS
 
 
 class TestPrng:
@@ -104,6 +105,25 @@ class TestGenerators:
                 assert _drawn(random_uniform_hypergraph, cfg, ours) == _drawn(
                     _pool_hypergraph, cfg, theirs)
                 assert ours.state == theirs.state
+
+    def test_edge_size_below_1_refused_before_a_draw(self):
+        rng = SplitMix64(1)
+        with pytest.raises(ValueError, match=r"edges need k >= 1; got k range \(0, 2\)"):
+            random_uniform_hypergraph(GeneratorConfig(k_range=(0, 2)), rng)
+        assert rng.state == 1
+
+    @pytest.mark.parametrize("theorem,cfg", [
+        *((t, cfg) for t, cfg in EXHAUSTIVE_STREAMS.items()),
+        ("graph-complemented", GeneratorConfig(seed=3, n_range=(6, 9), m_range=(5, 10))),
+        ("hypergraph-complemented",
+         GeneratorConfig(seed=4, n_range=(6, 8), k_range=(2, 4), m_range=(3, 6))),
+        ("modular", GeneratorConfig(seed=7, n_range=(1, 12), k_range=(1, 6), m_range=(1, 9))),
+    ], ids=[*EXHAUSTIVE_STREAMS, "graph-sampled", "hypergraph-sampled", "modular-sampled"])
+    def test_streams_pass_the_public_constructor(self, theorem, cfg):
+        # the streams build without Hypergraph's checks; each instance must
+        # pass them, and equal what the checked constructor builds
+        for H in _instances_for(theorem, cfg):
+            assert Hypergraph.make(H.vertex_count, H.edges) == H
 
     def test_sampler_builds_no_subset_pool(self):
         # C(20, 10) = 184,756 subsets: a list of them takes about 25 MB
@@ -423,6 +443,19 @@ class TestAuditBatch:
         for f in files:
             obj = json.loads(f.read_text())
             assert obj["agree"] is False
+
+    @pytest.mark.parametrize("theorem", ["boolean", "hypergraph-complemented"])
+    def test_unwritable_counterexamples_refused_before_the_first_instance(
+            self, theorem, tmp_path, monkeypatch):
+        # the default boolean stream has no disagreement, the
+        # hypergraph-complemented one has some: both refuse the path alike
+        blocked = tmp_path / "plain"
+        blocked.write_text("")
+        audited = []
+        monkeypatch.setattr(audit, "audit_instance", lambda *args: audited.append(args))
+        with pytest.raises(ValueError, match=f"cannot write {blocked / 'x'}: "):
+            audit_batch(theorem, GeneratorConfig(), counterexample_dir=str(blocked / "x"))
+        assert audited == []
 
     def test_report_json_roundtrip(self, fig3_hypergraph):
         report = audit_instance("boolean", fig3_hypergraph)

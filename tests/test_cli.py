@@ -585,6 +585,19 @@ class TestUnwritableOutput:
         self.assert_refused(capsys, blocked, "audit", "--theorem", "modular",
                             "--counterexamples", blocked)
 
+    @pytest.mark.parametrize("theorem", ["boolean", "hypergraph-complemented"])
+    def test_audit_counterexamples_refused_with_or_without_disagreement(
+            self, capsys, blocked, theorem, monkeypatch):
+        # the default boolean stream agrees everywhere and the
+        # hypergraph-complemented one does not; the directory is made before
+        # the first instance, so both exit 2 without auditing one
+        audited = []
+        monkeypatch.setattr(lcmlat.audit, "audit_instance",
+                            lambda *args: audited.append(args))
+        self.assert_refused(capsys, blocked, "audit", "--theorem", theorem,
+                            "--counterexamples", blocked)
+        assert audited == []
+
 
 class TestAudit:
     def test_polarization_audit(self, capsys):
@@ -663,6 +676,21 @@ class TestAudit:
         done = run_subprocess("audit", "--theorem", "birkhoff-crosscheck",
                               "--n", "1..1", "--m", "3..3")
         assert_one_error_line(done, "could not reach 3 minimal generators in 1 variables")
+
+    @pytest.mark.parametrize("n", [f"2..{MAX_RING_DIMENSION + 1}", "2..3000000", "3000000"])
+    def test_vertex_count_over_the_cap_refused_before_a_draw(self, capsys, monkeypatch, n):
+        # the file readers' cap; a sampled draw at n = 10^6 took 0.6 s each
+        monkeypatch.setattr(lcmlat.audit, "audit_batch", lambda *args, **kwargs: 1 / 0)
+        code, out, err = run(capsys, "audit", "--theorem", "boolean", "--n", n)
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        hi = n.rsplit(".", 1)[-1]
+        assert json.loads(err) == {"error": "lcmlat audit: argument --n: vertex or variable "
+                                            f"count {hi} exceeds the cap {MAX_RING_DIMENSION}"}
+
+    def test_vertex_count_at_the_cap_parses(self):
+        args = cli._build_parser().parse_args(
+            ["audit", "--theorem", "boolean", "--n", f"2..{MAX_RING_DIMENSION}"])
+        assert args.n == (2, MAX_RING_DIMENSION)
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "audit", "--theorem", "boolean", "--n", "5..2")

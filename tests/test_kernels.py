@@ -13,8 +13,10 @@ from lcmlat.lattice import (
     pentagon_lattice,
     product,
 )
-from lcmlat.properties import _interval_sizes, is_modular
-from reference import distributive_by_valuation, from_covers, from_tables, join_irreducibles
+from lcmlat.properties import is_modular
+from reference import (
+    _interval_sizes, distributive_by_valuation, from_covers, from_tables, join_irreducibles,
+)
 from strategies import ideal_strategy
 
 

@@ -37,7 +37,9 @@ from lcmlat.monomials import (
     polarize,
 )
 from lcmlat.properties import SWEEP_LIMIT, all_properties, is_complemented
-from reference import atom_indices, from_covers, from_leq, interval_covers, lcm
+from reference import (
+    _interval_sizes, atom_indices, first_3_element_interval, from_covers, from_leq, lcm,
+)
 from strategies import exhaustive_hypergraphs, ideal_strategy
 
 
@@ -367,11 +369,15 @@ def _with_matching(n, edges, k):
 def _assert_covers_are_2_intervals(L):
     """L's covers, as its builder derives them, equal the 2-element
     intervals of its order (the reference's float32 product). An
-    LcmLattice's are checked both from its keys and on its tables."""
+    LcmLattice's are checked both from its keys and on its tables, and the
+    first 3-element interval it reads from its keys is the product's."""
     lattices = [L, L.lattice] if hasattr(L, "lattice") else [L]
-    expected = list(zip(*(idx.tolist() for idx in interval_covers(lattices[-1]))))
+    sizes = _interval_sizes(lattices[-1])
+    expected = list(zip(*(idx.tolist() for idx in np.nonzero(sizes == 2))))
     for lat in lattices:
         assert hasse_edges(lat) == expected
+    if len(lattices) == 2:
+        assert L.first_3_element_interval() == first_3_element_interval(sizes)
 
 
 def _matching_lattice(m):
@@ -379,13 +385,16 @@ def _matching_lattice(m):
         2 * m, [{2 * i + 1, 2 * i + 2} for i in range(m)])))
 
 
-# M3 x B10 and P4 x B9: the triangle and the path P4, each plus disjoint edges
-_NEAR_CAP = {"m3xb10": _with_matching(3, [{1, 2}, {1, 3}, {2, 3}], 10),
+# M3 x B10 and P4 x B9: the triangle and the path P4, each plus disjoint
+# edges; M3 x B6 is the same shape a sixteenth the size
+_NEAR_CAP = {"m3xb6": _with_matching(3, [{1, 2}, {1, 3}, {2, 3}], 6),
+             "m3xb10": _with_matching(3, [{1, 2}, {1, 3}, {2, 3}], 10),
              "p4xb9": _with_matching(4, [{1, 2}, {2, 3}, {3, 4}], 9)}
 
 
 class TestCovers:
-    """Each builder's covers against the reference's 2-element intervals."""
+    """Each builder's covers against the reference's 2-element intervals,
+    and each lcm-lattice's first 3-element interval against the reference's."""
 
     def test_exhaustive_stream_lattices(self):
         ideals = dict.fromkeys(map(edge_ideal, exhaustive_hypergraphs()))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lcmlat import audit, kernels, properties
 from lcmlat.lattice import (
+    LcmLattice,
     boolean_lattice,
     build_lcm_lattice,
     chain_lattice,
@@ -39,7 +40,9 @@ from lcmlat.properties import (
     is_modular,
     is_relatively_complemented,
 )
-from reference import atom_indices, join_irreducibles, lcm
+from reference import (
+    _interval_sizes, atom_indices, first_3_element_interval, join_irreducibles, lcm,
+)
 from strategies import exhaustive_hypergraphs, ideal_strategy
 
 
@@ -450,16 +453,22 @@ class TestComplemented:
 
 
 def _graph_lattice(n, edges):
-    return lambda: build_lcm_lattice(edge_ideal(Hypergraph.make(n, edges))).lattice
+    return lambda: build_lcm_lattice(edge_ideal(Hypergraph.make(n, edges)))
 
 
+# lcm-lattices, decided by is_relatively_complemented, and lattices of no
+# lcm-lattice's shape (not atomistic, or of one element), on which the
+# reference's first 3-element interval stands for Björner's test
 _FIXED_LATTICES = {
-    **{f"chain{n}": (lambda n=n: chain_lattice(n)) for n in range(1, 6)},
+    **{f"chain{n}": (lambda n=n: chain_lattice(n)) for n in (1, 3, 4, 5)},
+    "chain2": lambda: build_lcm_lattice(MonomialIdeal.make(1, [(1,)])),
     "N5": pentagon_lattice,
-    "M3": diamond_lattice,
-    **{f"boolean{r}": (lambda r=r: boolean_lattice(r)) for r in range(4)},
+    "M3": _graph_lattice(3, [{1, 2}, {1, 3}, {2, 3}]),
+    "boolean0": lambda: boolean_lattice(0),
+    **{f"boolean{r}": (lambda r=r: _matching(r)) for r in range(1, 4)},
     "N5xchain3": lambda: product(pentagon_lattice(), chain_lattice(3)),
-    "M3xM3": lambda: product(diamond_lattice(), diamond_lattice()),
+    # the edge ideal of two disjoint triangles: its lcm-lattice is M3 x M3
+    "M3xM3": _graph_lattice(6, [{1, 2}, {1, 3}, {2, 3}, {4, 5}, {4, 6}, {5, 6}]),
     "P4": _graph_lattice(4, [{1, 2}, {2, 3}, {3, 4}]),
     "triangle": _graph_lattice(3, [{1, 2}, {1, 3}, {2, 3}]),
     "fig3": _graph_lattice(6, [{1, 2, 3}, {2, 3, 4}, {4, 5, 6}]),
@@ -469,14 +478,14 @@ _FIXED_LATTICES = {
     # instead of (x, y) picks another one
     "P5-relabeled": _graph_lattice(5, [{2, 4}, {3, 5}, {1, 2}, {4, 5}]),
     "five-generators": lambda: build_lcm_lattice(MonomialIdeal.make(
-        3, [(0, 2, 1), (2, 1, 0), (1, 1, 1), (0, 1, 2), (1, 0, 2)])).lattice,
+        3, [(0, 2, 1), (2, 1, 0), (1, 1, 1), (0, 1, 2), (1, 0, 2)])),
 }
 
 
 class TestRelativelyComplemented:
     def test_p4_fails_with_chain_interval(self, p4_lattice):
+        verdict = is_relatively_complemented(p4_lattice)
         lat = p4_lattice.lattice
-        verdict = is_relatively_complemented(lat)
         assert not verdict.holds
         w = verdict.witness
         # the witness interval is a minimal failing one: a 3-chain
@@ -490,21 +499,27 @@ class TestRelativelyComplemented:
         assert not is_complemented(above_12).holds
 
     def test_boolean(self):
-        assert is_relatively_complemented(boolean_lattice(3)).holds
+        assert is_relatively_complemented(_matching(3)).holds
 
     def test_triangle_lattice(self, triangle_lattice):
-        assert is_relatively_complemented(triangle_lattice.lattice).holds
+        assert is_relatively_complemented(triangle_lattice).holds
 
     @pytest.mark.parametrize("name", sorted(_FIXED_LATTICES))
     def test_matches_interval_scan_fixed(self, name):
         L = _FIXED_LATTICES[name]()
-        assert is_relatively_complemented(L) == _relatively_complemented_by_intervals(L)
+        if isinstance(L, LcmLattice):
+            assert is_relatively_complemented(L) == _relatively_complemented_by_intervals(
+                L.lattice)
+        else:
+            scan = _relatively_complemented_by_intervals(L)
+            assert first_3_element_interval(_interval_sizes(L)) == (None if scan.holds else (
+                scan.witness["interval_bottom"]["index"], scan.witness["interval_top"]["index"]))
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(ideal_strategy(3, 5, 2), _edge_ideal_strategy()))
     def test_matches_interval_scan_random(self, I):
-        L = build_lcm_lattice(I).lattice
-        assert is_relatively_complemented(L) == _relatively_complemented_by_intervals(L)
+        L = build_lcm_lattice(I)
+        assert is_relatively_complemented(L) == _relatively_complemented_by_intervals(L.lattice)
 
     def test_builds_one_sublattice_on_failure_none_on_success(self, p4_lattice,
                                                               monkeypatch):
@@ -515,29 +530,46 @@ class TestRelativelyComplemented:
             return interval(L, x, y)
 
         monkeypatch.setattr(properties, "interval", counting)
-        is_relatively_complemented(p4_lattice.lattice)
+        is_relatively_complemented(p4_lattice)
         assert len(calls) == 1
         calls.clear()
-        is_relatively_complemented(boolean_lattice(3))
-        assert calls == []
+        L = _matching(3)
+        is_relatively_complemented(L)
+        assert calls == [] and "lattice" not in vars(L)
 
     def test_routes_disagree_raises(self, p4_lattice, monkeypatch):
         monkeypatch.setattr(properties, "is_complemented",
                             lambda sub: PropertyVerdict("complemented", True))
         with pytest.raises(RuntimeError, match="relatively-complemented routes disagree"):
-            is_relatively_complemented(p4_lattice.lattice)
+            is_relatively_complemented(p4_lattice)
 
     def test_ten_edge_matching(self):
-        L = build_lcm_lattice(edge_ideal(Hypergraph.make(
-            20, [{2 * i + 1, 2 * i + 2} for i in range(10)])))
+        L = _matching(10)
         assert L.size == 1024
-        verdict = is_relatively_complemented(L.lattice)
+        verdict = is_relatively_complemented(L)
         assert verdict.holds and verdict.witness is None
+        assert "lattice" not in vars(L)
+
+    def test_near_cap_holds_without_a_table(self):
+        # M3 x B10, 5120 elements: modular and atomistic, so relatively
+        # complemented; its join and meet tables alone would take 210 MB
+        L = build_lcm_lattice(edge_ideal(Hypergraph.make(
+            23, [{1, 2}, {1, 3}, {2, 3}] + [{4 + 2 * i, 5 + 2 * i} for i in range(10)])))
+        tracemalloc.start()
+        try:
+            verdict = is_relatively_complemented(L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.holds and L.size == 5120
+        assert "lattice" not in vars(L)
+        assert peak < 64 << 20
 
 
 def _relatively_complemented_by_intervals(L):
-    """Oracle: build every interval [x, y] as a sublattice, smallest first
-    (ties by (x, y)), and test it with is_complemented."""
+    """Oracle: build every interval [x, y] of the FiniteLattice L as a
+    sublattice, smallest first (ties by (x, y)), and test it with
+    is_complemented."""
     sizes = []
     for x in range(L.size):
         for y in range(L.size):
@@ -567,7 +599,7 @@ class TestDecide:
             "modular": lambda: is_modular(L.lattice),
             "distributive": lambda: is_distributive(L),
             "complemented": lambda: is_complemented(L.lattice),
-            "relatively-complemented": lambda: is_relatively_complemented(L.lattice),
+            "relatively-complemented": lambda: is_relatively_complemented(L),
         }
         assert PROPERTIES == tuple(named)  # also the order of `check --property all`
         for name in PROPERTIES:
@@ -596,7 +628,7 @@ class TestDecide:
 
         monkeypatch.setattr(properties, "is_relatively_complemented", recording)
         decide("relatively-complemented", p4_lattice)
-        assert seen == [p4_lattice.lattice]
+        assert seen == [p4_lattice]
 
     def test_unknown_name(self, p4_lattice):
         # is_isomorphic is an attribute of the module, but not a property
@@ -606,8 +638,8 @@ class TestDecide:
 
 def _by_tables(L):
     """Each decider's full verdict on L, none of them shortcut by the count:
-    distributivity from the pentagon and diamond searches alone, the other
-    table properties on L.lattice."""
+    distributivity from the pentagon and diamond searches alone, modularity
+    and complementation on L.lattice, relative complementation on L."""
     lat = L.lattice
     pentagon, diamond = find_n5(lat), find_m3(lat)
     witness = {}
@@ -620,7 +652,7 @@ def _by_tables(L):
         is_modular(lat),
         PropertyVerdict("distributive", not witness, witness or None),
         is_complemented(lat),
-        is_relatively_complemented(lat),
+        is_relatively_complemented(L),
     ]
 
 
@@ -673,4 +705,3 @@ class TestImplicationChain:
         one, _ = interval(L.lattice, 0, 0)
         assert is_modular(one).holds
         assert is_complemented(one).holds
-        assert is_relatively_complemented(one).holds

@@ -81,3 +81,13 @@ def test_allowlist_names_exist_and_are_unreached():
     used = _used()
     defined = {name for _, name in _defined()}
     assert all(name in defined and name not in used for name in ALLOWLIST)
+
+
+def test_order_product_is_the_tests_oracle_only():
+    # the covers and Björner's test read the keys; the float32 interval-size
+    # product stays in tests/reference.py as their oracle
+    assert "_interval_sizes" not in {name for _, name in _defined()}
+    for path in PACKAGE.glob("*.py"):
+        text = path.read_text()
+        assert not any(isinstance(node, ast.MatMult) for node in ast.walk(ast.parse(text)))
+        assert "matmul" not in text and "float32" not in text, path.name
