@@ -4,8 +4,10 @@ Runs a fixed list of commands (build json and dot, check with every
 property and conditions, also on M3 x B10, B12 and P4 x B9 near the
 element cap, P4 x B9 pinning a failing relatively-complemented witness,
 polarize, build and check of two 16-generator
-ideals with few elements, check of the Boolean and modular properties on
-a 10-edge star in a 4096-variable ring, polarize of a 299-generator
+ideals with few elements, check of relative complementation alone on the
+ideal files and the 16-generator ones (witnesses of non-squarefree ideals
+read with no table filled before them), check of the Boolean and modular
+properties on a 10-edge star in a 4096-variable ring, polarize of a 299-generator
 staircase, product (also of an 80- and a 56-element lattice), iso (also
 of three edge ideals with many automorphisms, B12 among them, against
 relabeled copies), a default audit of every
@@ -138,12 +140,14 @@ def commands(fx: Path) -> tuple:
     for path in ideal.values():
         same.append(["build", "--ideal", path])
         same.append(["check", "--ideal", path])
+        same.append(["check", "--ideal", path, "--property", "relatively-complemented"])
         same.append(["polarize", "--ideal", path])
     for name, text in SIXTEEN_GENERATORS.items():
         path = fx / f"{name}.ideal"
         path.write_text(text)
         same.append(["build", "--ideal", path])
         same.append(["check", "--ideal", path, "--property", "all"])
+        same.append(["check", "--ideal", path, "--property", "relatively-complemented"])
     star10 = fx / "star10.ideal"
     star10.write_text(STAR10_IDEAL)
     same.extend(["check", "--ideal", star10, "--property", p] for p in ("boolean", "modular"))

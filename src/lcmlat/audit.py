@@ -26,7 +26,7 @@ from .lattice import (
     build_lcm_lattice,
     chain_lattice,
     diamond_lattice,
-    is_isomorphic,
+    is_isomorphic,  # noqa: F401 -- unused; perfbench/tracer.py patches this name
     pentagon_lattice,
     product,
 )
@@ -289,26 +289,20 @@ def audit_instance(theorem: str, instance) -> AuditReport:
         polarized, _ = polarize(I)
         L = build_lcm_lattice(I)
         Lp = build_lcm_lattice(polarized)
-        counts_match = (
-            L.size == Lp.size and L.atom_count == Lp.atom_count
-        )
         # polarize keeps the total degree and the lexicographic order of
         # every lcm of generators, and which generators divide it, so both
         # lattices list their elements in one order under the same keys.
-        # The tables and the covers come from the keys and the generator
-        # count alone (the top key has every generator's bit), so equal keys
-        # give equal tables and covers;
-        # on those is_isomorphic, trying candidates in ascending order,
-        # returns the identity. Report it without filling either table.
-        if L.keys == Lp.keys:
-            iso = list(range(L.size))
-        else:
-            iso = is_isomorphic(L.lattice, Lp.lattice)
-        actual = counts_match and iso is not None
-        return _report(theorem, _describe_ideal(I), True, actual, None,
+        # The tables, the covers, the size and the generator count come from
+        # the keys alone (the top key has every generator's bit), so equal
+        # keys give equal tables and covers; on those is_isomorphic, trying
+        # candidates in ascending order, returns the identity. Report it
+        # without filling either table; keys that differ are a fault.
+        if L.keys != Lp.keys:
+            raise RuntimeError("polarize changed the keys of the lcm-lattice")
+        return _report(theorem, _describe_ideal(I), True, True, None,
                        {"element_counts": [L.size, Lp.size],
                         "atom_counts": [L.atom_count, Lp.atom_count],
-                        "isomorphism": iso})
+                        "isomorphism": list(range(L.size))})
 
     if theorem == "birkhoff-crosscheck":
         I = instance
@@ -384,13 +378,13 @@ def _check_sample_count(cfg: GeneratorConfig) -> None:
 
 
 def _instances_for(theorem: str, cfg: GeneratorConfig, exhaustive: bool = False):
-    """Yield the theorem's instances in a deterministic order. A hypergraph
-    stream is enumerated if exhaustive is set or its space has at most
+    """The theorem's instances as an iterator, in a deterministic order; a bad
+    configuration raises ValueError on the call. A hypergraph stream is
+    enumerated if exhaustive is set or its space has at most
     EXHAUSTIVE_THRESHOLD members, and sampled otherwise."""
     graph_only = theorem in GRAPH_THEOREMS
     if theorem == "product-complemented":
-        yield from iproduct(small_lattice_pool(), repeat=2)
-        return
+        return iproduct(small_lattice_pool(), repeat=2)
     # every other stream draws or enumerates m edges or generators, and an
     # ideal with none has no atoms to audit
     if cfg.m_range[0] < 1:
@@ -415,51 +409,51 @@ def _instances_for(theorem: str, cfg: GeneratorConfig, exhaustive: bool = False)
                 f"cap); got max_exponent {cfg.max_exponent}"
             )
         _check_sample_count(cfg)
-        rng = SplitMix64(cfg.seed)
-        emitted = 0
-        attempts = 0
-        last_error = None
-        while emitted < cfg.count:
-            attempts += 1
-            if attempts > 4 * cfg.count + _REDRAW_LIMIT:
-                raise ValueError(f"ideal sampling retry budget exhausted; last draw: {last_error}")
-            try:
-                # infeasible (n, m) draws (antichain too large) are skipped;
-                # the stream stays deterministic because rng state advances
-                yield random_monomial_ideal(cfg, rng)
-            except ValueError as exc:
-                last_error = exc
-                continue
-            emitted += 1
-        return
-
+        return _sampled_ideals(cfg)
     if not exhaustive:
         space = sum(math.comb(math.comb(n, k), m) for n, k, m in _cells(cfg, graph_only))
         exhaustive = space <= EXHAUSTIVE_THRESHOLD
     if exhaustive:
-        for n, k, m in _cells(cfg, graph_only):
-            # distinct k-subsets of 1..n, k >= 1: none empty, out of range
-            # or nested
-            for edges in combinations(combinations(range(1, n + 1), k), m):
-                H = Hypergraph._clutter(n, edges)
-                if not graph_only or H.is_connected():
-                    yield H
-    else:
-        _check_sample_count(cfg)
-        rng = SplitMix64(cfg.seed)
-        emitted = 0
-        attempts = 0
-        limit = cfg.count * _REDRAW_LIMIT
-        sample_cfg = replace(cfg, k_range=(2, 2)) if graph_only else cfg
-        while emitted < cfg.count:
-            attempts += 1
-            if attempts > limit:
-                raise ValueError("sampling retry budget exhausted")
-            H = random_uniform_hypergraph(sample_cfg, rng)
-            if graph_only and not H.is_connected():
-                continue
-            yield H
-            emitted += 1
+        # distinct k-subsets of 1..n, k >= 1: none empty, out of range or nested
+        clutters = (Hypergraph._clutter(n, edges) for n, k, m in _cells(cfg, graph_only)
+                    for edges in combinations(combinations(range(1, n + 1), k), m))
+        return (H for H in clutters if not graph_only or H.is_connected())
+    _check_sample_count(cfg)
+    return _sampled_hypergraphs(cfg, graph_only)
+
+
+def _sampled_ideals(cfg: GeneratorConfig):
+    rng = SplitMix64(cfg.seed)
+    emitted = attempts = 0
+    last_error = None
+    while emitted < cfg.count:
+        attempts += 1
+        if attempts > 4 * cfg.count + _REDRAW_LIMIT:
+            raise ValueError(f"ideal sampling retry budget exhausted; last draw: {last_error}")
+        try:
+            # infeasible (n, m) draws (antichain too large) are skipped;
+            # the stream stays deterministic because rng state advances
+            yield random_monomial_ideal(cfg, rng)
+        except ValueError as exc:
+            last_error = exc
+            continue
+        emitted += 1
+
+
+def _sampled_hypergraphs(cfg: GeneratorConfig, graph_only: bool):
+    rng = SplitMix64(cfg.seed)
+    emitted = attempts = 0
+    limit = cfg.count * _REDRAW_LIMIT
+    sample_cfg = replace(cfg, k_range=(2, 2)) if graph_only else cfg
+    while emitted < cfg.count:
+        attempts += 1
+        if attempts > limit:
+            raise ValueError("sampling retry budget exhausted")
+        H = random_uniform_hypergraph(sample_cfg, rng)
+        if graph_only and not H.is_connected():
+            continue
+        yield H
+        emitted += 1
 
 
 def instance_hash(descriptor: dict) -> str:
@@ -485,10 +479,12 @@ def audit_batch(
     Enumerates exhaustively when the instance space has at most
     EXHAUSTIVE_THRESHOLD members (or when forced); otherwise samples
     cfg.count instances from the seeded stream. Returns (summary, reports).
-    The counterexample directory is made before the first instance, so one
-    that cannot be made raises ValueError whether or not the stream
-    disagrees; so does a counterexample that cannot be written.
+    The counterexample directory is made after the configuration is checked
+    and before the first instance, so a bad configuration leaves no
+    directory, and one that cannot be made raises ValueError whether or not
+    the stream disagrees; so does a counterexample that cannot be written.
     """
+    instances = _instances_for(theorem, cfg, exhaustive)
     if counterexample_dir is not None:
         out = Path(counterexample_dir)
         try:
@@ -496,7 +492,7 @@ def audit_batch(
         except OSError as exc:
             raise ValueError(f"cannot write {counterexample_dir}: {exc}")
     reports = []
-    for instance in _instances_for(theorem, cfg, exhaustive):
+    for instance in instances:
         reports.append(audit_instance(theorem, instance))
 
     disagreements = [r for r in reports if not r.agree and r.predicted != HYPOTHESIS_NOT_MET]

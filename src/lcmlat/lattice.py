@@ -20,13 +20,14 @@ tuples in the canonical order of _element_sort_key. Every element is the
 lcm of a subset of the generators, so one table over the 2^m generator
 subsets (the least element whose key contains each subset) turns join and
 meet into gathers. An LcmLattice builds that table once, on first need,
-and reads it for three things: its covers and its first 3-element interval
-(both from the joins of each element with each generator, O(N * m^2)) and,
-on the first read of LcmLattice.lattice, the join/meet tables, in row
-blocks of about kernels.BLOCK_BYTES each. A caller that reads only the
-elements, the atoms, the ideal (is_boolean), the exports (labels and
-covers) or a relatively complemented verdict never pays for the N x N
-tables. Each label is rendered from its tuple when it is read: most
+and reads it for four things: its covers and its first 3-element interval
+(both from the joins of each element with each generator, O(N * m^2)),
+the join/meet tables of an interval (over its elements only) and, on the
+first read of LcmLattice.lattice, the join/meet tables, in row blocks of
+about kernels.BLOCK_BYTES each. A caller that reads only the elements,
+the atoms, the ideal (is_boolean), the exports (labels and covers) or a
+relatively complemented verdict, failing or not, never pays for the
+N x N tables. Each label is rendered from its tuple when it is read: most
 verdicts read none, and a witness reads only the few it names.
 """
 
@@ -52,12 +53,12 @@ from .monomials import (
 # (measured with tracemalloc at N = 448..2560, modular or not): the int32
 # join/meet and the derived bool leq (4 + 4 + 1) plus the searches' int32
 # cancellation keys, their sorted copy and a bool mask (4 + 4 + 1). The
-# exports and Björner's test read no N x N table: they read the keys, in a
-# few (N, m, m) arrays (see _generator_joins); Björner's test fills the tables
-# only to confirm a failing interval. N = 6000 keeps that peak at
-# 20 * 6000^2 = 0.72e9 bytes, under 1 GB; a 12-edge matching (4096 elements)
-# still builds. The cap dates from a peak of 24 bytes per cell and is kept,
-# so the inputs it refuses stay the same.
+# exports and Björner's test read no N x N table, only the keys: a few
+# (N, m, m) arrays (see _generator_joins) and a failing interval's own
+# tables (see interval). N = 6000 keeps that peak at 20 * 6000^2 = 0.72e9
+# bytes, under 1 GB; a 12-edge matching (4096 elements) still builds. The
+# cap dates from a peak of 24 bytes per cell and is kept, so the inputs it
+# refuses stay the same.
 MAX_ELEMENTS = 6000
 # product() writes 8 bytes per cell of its N x N tables, N = |L1|*|L2|, the
 # int32 join and meet, each broadcast straight into its final layout; the
@@ -79,13 +80,17 @@ class SizeLimitError(ValueError):
 
 
 class _Exported:
-    """What the exports read, shared by FiniteLattice and LcmLattice: the
-    labels, rendered by `names`, and the JSON dict of the labels, the
-    atoms and the covers. Neither reads a join or meet table."""
+    """What the exports and intervals read, shared by FiniteLattice and
+    LcmLattice: the labels, rendered by `names`, the index check and the
+    JSON dict of the labels, the atoms and the covers. None reads a table."""
 
     @cached_property
     def labels(self) -> tuple:
         return tuple(map(self.names, range(self.size)))
+
+    def _check_index(self, a: int) -> None:
+        if not 0 <= a < self.size:
+            raise IndexError(f"element index {a} out of range for size {self.size}")
 
     def to_json_dict(self) -> dict:
         covers = hasse_edges(self)
@@ -147,10 +152,6 @@ class FiniteLattice(_Exported):
         self._check_index(b)
         return int(self.meet_table[a, b])
 
-    def _check_index(self, a: int) -> None:
-        if not 0 <= a < self.size:
-            raise IndexError(f"element index {a} out of range for size {self.size}")
-
     @cached_property
     def pentagon(self):
         """kernels.pentagon_search on the tables, run on the first read only."""
@@ -178,11 +179,11 @@ class LcmLattice(_Exported):
     """The lcm-lattice of a monomial ideal, keeping the monomial behind each element.
 
     `lattice` (the join/meet tables) is filled from `keys` on its first
-    read and cached; later reads return the same FiniteLattice, which
-    renders each label from `elements` when it is read. The labels, the
-    covers and the exports need no table. The atoms are the minimal
-    generators, one per generator of the ideal: the elements whose key is
-    one generator's bit.
+    read and cached; later reads return the same FiniteLattice, which shares
+    `names`. The labels, the covers, the exports and the intervals
+    (interval) need no N x N table: a <= b iff key(a) is within key(b). The
+    atoms are the minimal generators, one per generator of the ideal: the
+    elements whose key is one generator's bit.
     """
 
     ideal: MonomialIdeal
@@ -198,12 +199,17 @@ class LcmLattice(_Exported):
     def atom_count(self) -> int:
         return len(self.ideal.generators)
 
-    def names(self, i: int) -> str:
-        return monomial_str(self.elements[i])
+    @cached_property
+    def names(self) -> Callable[[int], str]:
+        """Renders each label from `elements` once, when it is read: a label
+        can be long (one factor per variable of a wide ring), and witnesses
+        may name one element several times."""
+        elements = self.elements  # not self, which would make a cycle
+        return cache(lambda i: monomial_str(elements[i]))
 
     @cached_property
     def _least(self) -> np.ndarray:
-        """The subset table that the covers and the table fill both read."""
+        """The subset table that the covers, intervals and table fill read."""
         return _subset_table(self.keys, self.atom_count)
 
     def covers(self) -> tuple:
@@ -211,7 +217,7 @@ class LcmLattice(_Exported):
 
     @cached_property
     def lattice(self) -> FiniteLattice:
-        return _fill_tables(self._least, self.keys, self.elements)
+        return _fill_tables(self._least, self.keys, self.names)
 
     def first_3_element_interval(self) -> tuple | None:
         """The least (x, y) in row-major order with |[x, y]| = 3, read from
@@ -344,11 +350,10 @@ def _subset_table(keys: tuple, m: int) -> np.ndarray:
     return least
 
 
-def _fill_tables(least: np.ndarray, keys: tuple, elements: tuple) -> FiniteLattice:
-    """The join/meet tables of `elements` keyed by `keys`, gathered from
+def _fill_tables(least: np.ndarray, keys: tuple, names) -> FiniteLattice:
+    """The join/meet tables of the elements keyed by `keys`, gathered from
     their subset table `least` (see _subset_table) in row blocks of about
-    kernels.BLOCK_BYTES; each label is rendered from `elements` when it is
-    read.
+    kernels.BLOCK_BYTES, labeled by `names`.
 
     On keys, join(a, b) is the lcm of the generators in key(a) | key(b),
     so least[key(a) | key(b)], and meet(a, b) the lcm of those in
@@ -363,10 +368,7 @@ def _fill_tables(least: np.ndarray, keys: tuple, elements: tuple) -> FiniteLatti
         ka, kb = keys[blk, None], keys[None, :]
         join[blk] = least[ka | kb]
         meet[blk] = least[ka & kb]
-    # cached: a label can be long (one factor per variable of a wide ring),
-    # and witnesses may name one element several times
-    return FiniteLattice(join, meet, cache(lambda i: monomial_str(elements[i])),
-                         covers=partial(_lcm_covers, least, keys))
+    return FiniteLattice(join, meet, names, covers=partial(_lcm_covers, least, keys))
 
 
 def _lcm_covers(least: np.ndarray, keys) -> tuple:
@@ -419,33 +421,35 @@ def enumerate_subset_lcms(I: MonomialIdeal):
     return sorted(lcms, key=_element_sort_key)
 
 
-def interval(L: FiniteLattice, x: int, y: int):
-    """The sublattice [x, y], plus the original indices of its elements.
+def interval(L: LcmLattice, x: int, y: int):
+    """The sublattice [x, y] of the lcm-lattice L, plus the original indices
+    of its elements, from the keys alone: a <= b iff key(a) is within key(b).
 
-    Its covers are L's covers with both ends in [x, y]: an element strictly
-    between two elements of [x, y] lies in [x, y] too.
+    Its join and meet are _fill_tables' gathers over its elements; the lcm of
+    the generators in key(a) | key(b), or key(a) & key(b), lies in [x, y].
+    Its covers are L's with both ends in [x, y], which holds every element
+    strictly between two of its own.
     """
     L._check_index(x)
     L._check_index(y)
-    if not L.leq[x, y]:
+    low, high = L.keys[x], L.keys[y]
+    if low & ~high:
         raise ValueError(f"interval requires x <= y; got {x} and {y}")
-    inside = L.leq[x] & L.leq[:, y]
-    idx = np.nonzero(inside)[0]
+    keys = np.array(L.keys, dtype=np.intp)
+    inside = ((keys & low) == low) & ((keys & ~high) == 0)
+    idx = np.flatnonzero(inside)
     remap = np.full(L.size, -1, dtype=np.int32)
     remap[idx] = np.arange(len(idx), dtype=np.int32)
     original = idx.tolist()
+    ka, kb = keys[idx, None], keys[None, idx]
 
     def covers():
         below, above = L.covers()
         keep = inside[below] & inside[above]
         return remap[below[keep]], remap[above[keep]]  # remap keeps the order
 
-    sub = FiniteLattice(
-        remap[L.join_table[np.ix_(idx, idx)]],
-        remap[L.meet_table[np.ix_(idx, idx)]],
-        lambda k: L.names(original[k]),
-        covers=covers,
-    )
+    sub = FiniteLattice(remap[L._least[ka | kb]], remap[L._least[ka & kb]],
+                        lambda k: L.names(original[k]), covers=covers)
     return sub, original
 
 

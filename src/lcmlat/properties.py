@@ -25,8 +25,8 @@ interval. Intervals of at most 2 elements are complemented and a 3-element
 interval is a chain, so the least failing interval is the first 3-element
 one and its complement-free element is the middle. An lcm-lattice is
 atomistic, so that interval is read from the keys, in integers and with no
-table; only a failing one is built from the tables and must fail
-is_complemented.
+table; a failing one is built from the keys as well (lattice.interval) and
+must fail is_complemented.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class PropertyVerdict:
         return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
 
-def _labeled(L: FiniteLattice, idx: int) -> dict:
+def _labeled(L, idx: int) -> dict:
     return {"index": int(idx), "label": L.names(idx)}
 
 
@@ -264,22 +264,21 @@ def is_relatively_complemented(L: LcmLattice) -> PropertyVerdict:
     Intervals of at most 2 elements are complemented, and a 3-element
     interval is a chain whose middle has no complement, so the witness is
     the first such [x, y] in row-major order, read from the keys
-    (LcmLattice.first_3_element_interval), and its middle element. Only
-    then are the tables filled: the interval is built from them and
-    is_complemented must fail on it.
+    (LcmLattice.first_3_element_interval), and its middle element. That
+    interval is built from the keys too, and is_complemented must fail on
+    it: no N x N table is filled.
     """
     hit = L.first_3_element_interval()
     if hit is None:
         return PropertyVerdict("relatively-complemented", True)
     x, y = hit
-    lat = L.lattice
-    sub, idx = interval(lat, x, y)
+    sub, idx = interval(L, x, y)
     verdict = is_complemented(sub)
     if verdict.holds:
         raise RuntimeError(f"relatively-complemented routes disagree on [{x}, {y}]")
     return PropertyVerdict("relatively-complemented", False, {
-        "interval_bottom": _labeled(lat, x), "interval_top": _labeled(lat, y),
-        "element": _labeled(lat, idx[verdict.witness["element"]["index"]])})
+        "interval_bottom": _labeled(L, x), "interval_top": _labeled(L, y),
+        "element": _labeled(L, idx[verdict.witness["element"]["index"]])})
 
 
 def decide(name: str, L: LcmLattice) -> PropertyVerdict:

@@ -5,7 +5,9 @@ join-closure and table fill. Its lattices read their covers off the
 order, as the 2-element intervals of the float32 interval-size product
 (_interval_sizes, interval_covers), the oracle for every builder's own
 covers; the same product's first 3-element interval is the oracle for
-the one that is_relatively_complemented reads from the keys. lcm,
+the one that is_relatively_complemented reads from the keys, and interval
+cuts a sublattice out of any lattice's tables, the oracle for the
+lcm-lattice's own interval, read from its keys. lcm,
 divides and atom_indices are the definitions the tests compare the
 program against, and the join-irreducible valuation test decides
 distributivity on any lattice's tables, a route independent of the
@@ -109,6 +111,37 @@ def interval_covers(L) -> tuple:
     """The covers of L as (below, above) in row-major order: the 2-element
     intervals [a, b], from the order alone."""
     return np.nonzero(_interval_sizes(L) == 2)
+
+
+def interval(L: FiniteLattice, x: int, y: int):
+    """Oracle: the sublattice [x, y] of the FiniteLattice L, cut out of its
+    tables and order, plus the original indices of its elements.
+
+    Its covers are L's covers with both ends in [x, y]: an element strictly
+    between two elements of [x, y] lies in [x, y] too.
+    """
+    L._check_index(x)
+    L._check_index(y)
+    if not L.leq[x, y]:
+        raise ValueError(f"interval requires x <= y; got {x} and {y}")
+    inside = L.leq[x] & L.leq[:, y]
+    idx = np.nonzero(inside)[0]
+    remap = np.full(L.size, -1, dtype=np.int32)
+    remap[idx] = np.arange(len(idx), dtype=np.int32)
+    original = idx.tolist()
+
+    def covers():
+        below, above = L.covers()
+        keep = inside[below] & inside[above]
+        return remap[below[keep]], remap[above[keep]]  # remap keeps the order
+
+    sub = FiniteLattice(
+        remap[L.join_table[np.ix_(idx, idx)]],
+        remap[L.meet_table[np.ix_(idx, idx)]],
+        lambda k: L.names(original[k]),
+        covers=covers,
+    )
+    return sub, original
 
 
 def from_tables(join, meet, names=str) -> FiniteLattice:

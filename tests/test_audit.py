@@ -299,29 +299,28 @@ class TestPolarizationKeys:
             assert got == _polarization_report_by_search(I).to_json_line()
         assert not calls
 
-    def test_keys_that_differ_fall_back_to_is_isomorphic(self, monkeypatch):
-        # x1^2, x2 and a stand-in polarization x1, x2^2: both lattices are
-        # the Boolean B2, but the first lists x2 (key 0b10) before x1^2
-        I = MonomialIdeal(2, ((2, 0), (0, 1)))
-        J = MonomialIdeal(2, ((1, 0), (0, 2)))
-        monkeypatch.setattr(audit, "polarize", lambda _: (J, None))
-        calls = self.searches(monkeypatch)
-        L, Lp = build_lcm_lattice(I), build_lcm_lattice(J)
-        assert L.keys == (0, 2, 1, 3) and Lp.keys == (0, 1, 2, 3)
-        report = audit_instance("polarization-iso", I)
-        assert len(calls) == 1
-        assert report.actual and report.agree
-        assert report.lattice_witness["isomorphism"] == is_isomorphic(L.lattice, Lp.lattice)
+    def test_keys_that_differ_raise(self, monkeypatch):
+        # polarize with its generators reversed: the same Boolean B2 for x1^2
+        # and x2, but x2 (key 0b10 in L) now has key 0b01
+        def reversed_polarize(I):
+            P, slots = polarize(I)
+            return MonomialIdeal(P.ring_dimension, P.generators[::-1]), slots
 
-    def test_fallback_reports_a_failed_search(self, monkeypatch):
-        # a one-generator stand-in: two elements against four, no isomorphism
+        monkeypatch.setattr(audit, "polarize", reversed_polarize)
+        calls = self.searches(monkeypatch)
+        I = MonomialIdeal(2, ((2, 0), (0, 1)))
+        assert build_lcm_lattice(I).keys == (0, 2, 1, 3)
+        assert build_lcm_lattice(reversed_polarize(I)[0]).keys == (0, 1, 2, 3)
+        with pytest.raises(RuntimeError, match="polarize changed the keys"):
+            audit_instance("polarization-iso", I)
+        assert not calls
+
+    def test_a_stand_in_of_another_size_raises(self, monkeypatch):
+        # a one-generator stand-in: two elements against four
         monkeypatch.setattr(audit, "polarize",
                             lambda _: (MonomialIdeal(2, ((1, 1),)), None))
-        calls = self.searches(monkeypatch)
-        report = audit_instance("polarization-iso", MonomialIdeal(2, ((2, 0), (0, 1))))
-        assert len(calls) == 1
-        assert not report.actual and not report.agree
-        assert report.lattice_witness["isomorphism"] is None
+        with pytest.raises(RuntimeError, match="polarize changed the keys"):
+            audit_instance("polarization-iso", MonomialIdeal(2, ((2, 0), (0, 1))))
 
 
 class TestAuditInstance:
@@ -456,6 +455,13 @@ class TestAuditBatch:
         with pytest.raises(ValueError, match=f"cannot write {blocked / 'x'}: "):
             audit_batch(theorem, GeneratorConfig(), counterexample_dir=str(blocked / "x"))
         assert audited == []
+
+    @pytest.mark.parametrize("theorem", ["boolean", "polarization-iso", "modular"])
+    def test_bad_config_leaves_no_counterexample_directory(self, theorem, tmp_path):
+        out = tmp_path / "new" / "corpus"
+        with pytest.raises(ValueError, match="audit needs m >= 1"):
+            audit_batch(theorem, GeneratorConfig(m_range=(0, 0)), counterexample_dir=str(out))
+        assert not (tmp_path / "new").exists()
 
     def test_report_json_roundtrip(self, fig3_hypergraph):
         report = audit_instance("boolean", fig3_hypergraph)

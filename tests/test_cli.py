@@ -598,6 +598,13 @@ class TestUnwritableOutput:
                             "--counterexamples", blocked)
         assert audited == []
 
+    def test_audit_bad_config_makes_no_counterexample_directory(self, capsys, tmp_path):
+        out = tmp_path / "new"
+        code, stdout, err = run(capsys, "audit", "--theorem", "boolean", "--m", "0..0",
+                                "--counterexamples", str(out))
+        assert (code, stdout) == (2, "") and "audit needs m >= 1" in err
+        assert not out.exists()
+
 
 class TestAudit:
     def test_polarization_audit(self, capsys):

@@ -37,6 +37,7 @@ from lcmlat.monomials import (
     polarize,
 )
 from lcmlat.properties import SWEEP_LIMIT, all_properties, is_complemented
+import reference
 from reference import (
     _interval_sizes, atom_indices, first_3_element_interval, from_covers, from_leq, lcm,
 )
@@ -144,27 +145,94 @@ class TestJoinMeet:
 class TestInterval:
     def test_whole_lattice(self, fig3_lattice):
         lat = fig3_lattice.lattice
-        sub, idx = interval(lat, 0, lat.top)
+        sub, idx = reference.interval(lat, 0, lat.top)
         assert sub.size == lat.size
         assert idx == list(range(lat.size))
 
     def test_p4_upper_interval_is_chain(self, p4_lattice):
         lat = p4_lattice.lattice
         x12 = lat.labels.index("x1*x2")
-        sub, idx = interval(lat, x12, lat.top)
+        sub, idx = reference.interval(lat, x12, lat.top)
         assert sub.size == 3
         assert [lat.labels[i] for i in idx] == [
             "x1*x2", "x1*x2*x3", "x1*x2*x3*x4",
         ]
 
     def test_singleton(self, fig3_lattice):
-        sub, _ = interval(fig3_lattice.lattice, 2, 2)
+        sub, _ = reference.interval(fig3_lattice.lattice, 2, 2)
         assert sub.size == 1
 
     def test_incomparable_rejected(self, fig3_lattice):
         lat = fig3_lattice.lattice
         with pytest.raises(ValueError):
-            interval(lat, 1, 3)
+            reference.interval(lat, 1, 3)
+
+
+def _assert_interval_is_the_reference(L, x, y):
+    """interval(L, x, y), read from the keys of the LcmLattice L, has the
+    tables, covers, labels and original indices that the reference cuts out
+    of L's tables."""
+    sub, original = interval(L, x, y)
+    ref, ref_original = reference.interval(L.lattice, x, y)
+    assert original == ref_original
+    for got, want in ((sub.join_table, ref.join_table), (sub.meet_table, ref.meet_table)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert hasse_edges(sub) == hasse_edges(ref)
+    assert sub.labels == ref.labels
+
+
+class TestIntervalFromKeys:
+    """interval reads [x, y] from an lcm-lattice's keys; reference.interval,
+    the oracle, cuts it out of the lattice's tables."""
+
+    @pytest.mark.parametrize("fixture", ["fig3_lattice", "fig5_lattice", "tetra_lattice"])
+    def test_every_interval(self, fixture, request):
+        L = request.getfixturevalue(fixture)
+        pairs = list(zip(*np.nonzero(L.lattice.leq)))
+        assert len(pairs) > L.size
+        for x, y in pairs:
+            _assert_interval_is_the_reference(L, int(x), int(y))
+
+    def test_first_3_element_interval_of_the_exhaustive_streams(self):
+        ideals = dict.fromkeys(map(edge_ideal, exhaustive_hypergraphs()))
+        # the keys fix the lattice
+        distinct = {L.keys: L for L in map(build_lcm_lattice, ideals)}
+        hits = [(L, L.first_3_element_interval()) for L in distinct.values()]
+        hits = [(L, hit) for L, hit in hits if hit is not None]
+        assert hits
+        for L, (x, y) in hits:
+            _assert_interval_is_the_reference(L, x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(I=ideal_strategy(4, 6, 2))
+    def test_random_ideals(self, I):
+        L = build_lcm_lattice(I)
+        # the top has the largest total degree, so it comes last
+        _assert_interval_is_the_reference(L, 0, L.size - 1)
+        hit = L.first_3_element_interval()
+        if hit is not None:
+            _assert_interval_is_the_reference(L, *hit)
+
+    def test_p4xb9(self):
+        n, edges = _NEAR_CAP["p4xb9"]
+        L = build_lcm_lattice(edge_ideal(Hypergraph.make(n, edges)))
+        hit = L.first_3_element_interval()
+        assert L.size == 3584 and hit is not None
+        _assert_interval_is_the_reference(L, *hit)
+
+    @pytest.mark.parametrize("x, y", [(-1, 6), (0, -1), (-7, 6), (7, 0), (0, 7)])
+    def test_index_out_of_range_refused(self, fig3_hypergraph, x, y):
+        L = build_lcm_lattice(edge_ideal(fig3_hypergraph))
+        with pytest.raises(IndexError, match="out of range for size 7"):
+            interval(L, x, y)
+        assert "lattice" not in vars(L)
+
+    @pytest.mark.parametrize("x, y", [(1, 3), (6, 0), (4, 1)])
+    def test_x_not_below_y_refused(self, fig3_hypergraph, x, y):
+        L = build_lcm_lattice(edge_ideal(fig3_hypergraph))
+        with pytest.raises(ValueError, match=f"interval requires x <= y; got {x} and {y}"):
+            interval(L, x, y)
+        assert "lattice" not in vars(L)
 
 
 class TestProduct:
@@ -433,7 +501,7 @@ class TestCovers:
     def test_intervals(self, fixture, request):
         lat = request.getfixturevalue(fixture).lattice
         for x, y in zip(*np.nonzero(lat.leq)):
-            _assert_covers_are_2_intervals(interval(lat, int(x), int(y))[0])
+            _assert_covers_are_2_intervals(reference.interval(lat, int(x), int(y))[0])
 
     def test_exports_fill_no_table(self):
         L = _matching_lattice(8)
@@ -909,7 +977,7 @@ def _built_with_their_orders():
     chain = idx[:, None] <= idx[None, :]
     cases.append((chain_lattice(6), chain))
     whole = cases[1][0]
-    sub, original = interval(whole, 1, whole.size - 3)
+    sub, original = reference.interval(whole, 1, whole.size - 3)
     cases.append((sub, whole.leq[np.ix_(original, original)]))
     # the tests' reference builder, with labels and without
     cases.append((from_leq(subsets, [f"s{i}" for i in range(16)]), subsets))

@@ -40,6 +40,7 @@ from lcmlat.properties import (
     is_modular,
     is_relatively_complemented,
 )
+import reference
 from reference import (
     _interval_sizes, atom_indices, first_3_element_interval, join_irreducibles, lcm,
 )
@@ -489,13 +490,13 @@ class TestRelativelyComplemented:
         assert not verdict.holds
         w = verdict.witness
         # the witness interval is a minimal failing one: a 3-chain
-        sub, _ = interval(
+        sub, _ = reference.interval(
             lat, w["interval_bottom"]["index"], w["interval_top"]["index"]
         )
         assert sub.size == 3
         assert not is_complemented(sub).holds
         # the specific interval from the theorem's proof also fails
-        above_12, _ = interval(lat, lat.labels.index("x1*x2"), lat.top)
+        above_12, _ = reference.interval(lat, lat.labels.index("x1*x2"), lat.top)
         assert not is_complemented(above_12).holds
 
     def test_boolean(self):
@@ -565,6 +566,22 @@ class TestRelativelyComplemented:
         assert "lattice" not in vars(L)
         assert peak < 64 << 20
 
+    def test_near_cap_fails_without_a_table(self):
+        # P4 x B9, 3584 elements: not relatively complemented; the witness
+        # interval is read and confirmed from the keys, where filling the
+        # join and meet tables alone would take 103 MB
+        L = build_lcm_lattice(edge_ideal(Hypergraph.make(
+            22, [{1, 2}, {2, 3}, {3, 4}] + [{5 + 2 * i, 6 + 2 * i} for i in range(9)])))
+        tracemalloc.start()
+        try:
+            verdict = is_relatively_complemented(L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not verdict.holds and L.size == 3584
+        assert "lattice" not in vars(L)
+        assert peak < 16 << 20
+
 
 def _relatively_complemented_by_intervals(L):
     """Oracle: build every interval [x, y] of the FiniteLattice L as a
@@ -576,7 +593,7 @@ def _relatively_complemented_by_intervals(L):
             if L.leq[x, y]:
                 sizes.append((int((L.leq[x] & L.leq[:, y]).sum()), x, y))
     for _, x, y in sorted(sizes):
-        sub, idx = interval(L, x, y)
+        sub, idx = reference.interval(L, x, y)
         verdict = is_complemented(sub)
         if not verdict.holds:
             inner = idx[verdict.witness["element"]["index"]]
@@ -702,6 +719,6 @@ class TestImplicationChain:
 
     def test_one_element_lattice(self):
         L = build_lcm_lattice(MonomialIdeal.make(1, [(1,)]))
-        one, _ = interval(L.lattice, 0, 0)
+        one, _ = reference.interval(L.lattice, 0, 0)
         assert is_modular(one).holds
         assert is_complemented(one).holds
