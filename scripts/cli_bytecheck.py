@@ -3,31 +3,34 @@
 Runs a fixed list of commands (build json and dot, check with every
 property and conditions, also on M3 x B10, B12 and P4 x B9 near the
 element cap, P4 x B9 pinning a failing relatively-complemented witness,
-polarize, build and check of two 16-generator
-ideals with few elements, check of relative complementation alone on the
-ideal files and the 16-generator ones (witnesses of non-squarefree ideals
-read with no table filled before them), check of the Boolean and modular
-properties on a 10-edge star in a 4096-variable ring, polarize of a 299-generator
-staircase, product (also of an 80- and a 56-element lattice), iso (also
-of three edge ideals with many automorphisms, B12 among them, against
-relabeled copies), a default audit of every
-theorem, the sampled ideal audits for seeds 1, 2 and 9, the bench's two
-seeded ideal audits at seed 41 (n from 1, so they draw one-variable
-ideals), three sampled hypergraph audits, and polarize of a 5-variable ideal
-at the exponent cap) against each tree's `src/` and compares stdout, stderr
-and exit code. Then it runs a list of refusals (malformed input files,
-output paths that cannot be written, staircases of 20 and 25 generators,
-one inside the generator limit of 24 and one past it, the removed cap flag
-`--max-lattice` on `check` and `build`, bad flags and values, an input
-flag that the subcommand does not read, a missing or doubled input flag,
-a malformed `--n` range, polarize past its ring cap, and `check` on a
-33-edge hypergraph in a 2^20-vertex ring, past the edge-ideal cell cap,
-and on a 25-edge one, past the generator limit, and an unwritable
-counterexample directory for an audit with disagreements and one without)
-and prints both trees' exit code and stderr, since a refusal may change
-on purpose. Polarize past its cell cap and an audit whose --n passes the
-vertex cap run on the new tree only: a tree without those caps writes all
-of 2^25 cells, or draws hypergraphs on millions of vertices.
+polarize, build and check of two 16-generator ideals with few elements,
+check of relative complementation alone on the ideal files and the
+16-generator ones (witnesses of non-squarefree ideals read with no table
+filled before them), check of distributivity and of every property on
+two seeded random ideals of 154 and 168 elements, one with no diamond
+and one whose least diamond is not over the bottom, check of the Boolean
+and modular properties on a 10-edge star in a 4096-variable ring,
+polarize of a 299-generator staircase, product (also of an 80- and a
+56-element lattice), iso (also of three edge ideals with many
+automorphisms, B12 among them, against relabeled copies), a default
+audit of every theorem, the sampled ideal audits for seeds 1, 2 and 9,
+the bench's two seeded ideal audits at seed 41 (n from 1, so they draw
+one-variable ideals), three sampled hypergraph audits, and polarize of a
+5-variable ideal at the exponent cap) against each tree's `src/` and
+compares stdout, stderr and exit code. Then it runs a list of refusals
+(malformed input files, output paths that cannot be written, staircases
+of 20 and 25 generators, one inside the generator limit of 24 and one
+past it, the removed cap flag `--max-lattice` on `check` and `build`,
+bad flags and values, an input flag that the subcommand does not read, a
+missing or doubled input flag, a malformed `--n` range, polarize past
+its ring cap, and `check` on a 33-edge hypergraph in a 2^20-vertex ring,
+past the edge-ideal cell cap, and on a 25-edge one, past the generator
+limit, and an unwritable counterexample directory for an audit with
+disagreements and one without) and prints both trees' exit code and
+stderr, since a refusal may change on purpose. Polarize past its cell
+cap and an audit whose --n passes the vertex cap run on the new tree
+only: a tree without those caps writes all of 2^25 cells, or draws
+hypergraphs on millions of vertices.
 
     mkdir ../parent && git archive <parent commit> | tar -x -C ../parent
     python scripts/cli_bytecheck.py ../parent .
@@ -74,6 +77,22 @@ SIXTEEN_GENERATORS = {
         "x1^2*x3*x4", "x1*x2^2*x3*x4", "x1^4*x2*x3^2", "x2^2*x3^4", "x2^2*x3*x4^2",
         "x2^3*x3^3", "x2^3*x3*x4", "x1^4*x4", "x1*x2*x4^3", "x4^4", "x1*x2^2*x4^2",
         "x2^4", "x1*x2*x3*x4^2", "x3^2*x4^2", "x1*x3^4*x4", "x2^2*x3^2*x4"]) + "\n",
+}
+# seed-41 inputs of the random-ideals bench, where the diamond search costs
+# most: 154 elements and no diamond, so the search walks every row that
+# repeats a key; 168 elements and a least diamond with bottom 9, so the
+# best-bottom cutoff decides which rows it walks
+BENCH_IDEALS = {
+    "random154": "ring 7\n" + "\n".join([
+        "x1^2*x2^2*x3^3*x4^3*x5*x6^2*x7", "x1^3*x2*x3^3*x4*x6^2", "x3*x4^3*x6^3",
+        "x3*x5^3*x6", "x2^2*x3*x4^2*x6^2*x7^3", "x1^2*x2*x3^3*x4^3*x7^2",
+        "x1*x2*x5^3*x6*x7^2", "x2^2*x3^2*x4^2*x7^3", "x1*x2*x3^3*x4*x6*x7^2",
+        "x1*x2^3*x3^2*x4*x5*x6^3*x7^3", "x1^2*x2^2*x3^2*x5^2*x6"]) + "\n",
+    "random168": "ring 7\n" + "\n".join([
+        "x4*x5^3*x6*x7^3", "x3^3*x4^2*x6^3", "x2*x6*x7^2", "x1*x2^3*x3*x4*x5^3*x7^3",
+        "x2^2*x3^3*x4*x5*x7", "x2*x4*x5^2*x6", "x1*x2*x3^3*x7", "x1^3*x2^2*x5^3*x6*x7",
+        "x1^2*x2^2*x3^2*x4^2*x5*x6", "x2*x3^2*x5^2*x7", "x1*x2^2*x3^2*x4*x6*x7",
+        "x1^3*x2*x3*x4^2*x7"]) + "\n",
 }
 # edge ideals with many automorphisms, each checked by `iso` against a copy
 # with variable v renamed 3v mod (n + 1) (n + 1 is prime to 3) and the
@@ -148,6 +167,10 @@ def commands(fx: Path) -> tuple:
         same.append(["build", "--ideal", path])
         same.append(["check", "--ideal", path, "--property", "all"])
         same.append(["check", "--ideal", path, "--property", "relatively-complemented"])
+    for name, text in BENCH_IDEALS.items():
+        path = fx / f"{name}.ideal"
+        path.write_text(text)
+        same.extend(["check", "--ideal", path, "--property", p] for p in ("distributive", "all"))
     star10 = fx / "star10.ideal"
     star10.write_text(STAR10_IDEAL)
     same.extend(["check", "--ideal", star10, "--property", p] for p in ("boolean", "modular"))

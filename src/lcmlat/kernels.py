@@ -18,10 +18,16 @@ only candidates that lattice theory says cannot yield a witness:
   of its elements on one key of row a. So rows without a repeated key are
   skipped (all of them on a distributive lattice), and in the others only
   pairs inside one key fiber are candidates;
+- a diamond's witness has a < b < c, so the diamond search takes only the
+  pairs lo < hi of row a with a < lo;
 - equal keys already imply the incomparabilities a pentagon or diamond
   needs, so the searches test no incomparability;
 - once a witness with bottom z* is held, a later a can only win with a
   smaller bottom, so only pairs with a ^ x < z* stay in play.
+
+Both searches find their candidates by one walk (_fiber_pairs): it sorts
+each searched row once, and after the sort its work follows the number of
+tied keys and of candidate pairs, not rows x n.
 
 Tables are int32 join/meet index tables plus the bool leq matrix that
 lattice.FiniteLattice derives from the meet table. The two searches take
@@ -158,11 +164,11 @@ def _cancellation_keys(join, meet):
 
 def _row_groups(rows, n):
     """rows in consecutive groups of doubling size, each with n-wide
-    temporaries of about BLOCK_BYTES together (some 64 bytes per cell) at
-    most: a witness in the first rows cuts a scan short, and a long scan
-    takes few calls. The first group spans about a thousand cells, about
-    what the fixed cost of one numpy call would process."""
-    cap = max(1, BLOCK_BYTES // (64 * n))
+    temporaries of about BLOCK_BYTES together at most (_fiber_pairs holds
+    some 17 bytes per cell): a witness in the first rows cuts a scan short,
+    and a long scan takes few calls. The first group spans about a thousand
+    cells, about what the fixed cost of one numpy call would process."""
+    cap = max(1, BLOCK_BYTES // (16 * n))
     start, step = 0, max(1, min(cap, 1024 // n))
     while start < len(rows):
         yield rows[start:start + step]
@@ -170,50 +176,67 @@ def _row_groups(rows, n):
         step = min(2 * step, cap)
 
 
-def _fiber_pairs(keys, rows, limit):
+def _fiber_pairs(keys, rows, limit, past_row):
     """Every pair of columns that share a key below `limit` in one of `rows`,
     as arrays (a, lo, hi, key) with keys[a, lo] == keys[a, hi] == key and
-    lo < hi, yielded in chunks of about _PAIRS_PER_CHUNK pairs. Each row
-    must repeat some key below `limit`.
+    lo < hi, and a < lo too if past_row; yielded in chunks of about
+    _PAIRS_PER_CHUNK pairs. Rows with no such pair yield nothing.
 
     Sorting key * n + column puts each row's key runs side by side with
-    their columns ascending, and each position is paired with the later
-    positions of its own run, so the work is n log n per row plus the
-    number of pairs, not n^2 per row.
+    their columns ascending. A position ties when the next one in its row
+    holds the same key. A position pairs with each later one of its run,
+    and those are the positions after it up to one past the end of its
+    streak of consecutive ties, so its partner count is the number of
+    consecutive ties from it on. Columns rise within a run, so the ties at
+    columns <= a are a prefix of the run's, and past_row drops them without
+    breaking a streak.
+
+    Per cell the walk holds the packed int64 keys, their keys and the tie
+    mask, about 17 bytes, and it costs the sort, the division and one
+    comparison; everything after follows the number of ties and pairs.
     """
     n = keys.shape[1]
     packed = keys.take(rows, 0).astype(np.int64)
     packed *= n
     packed += np.arange(n)
     packed.sort(axis=1)
-    key, col = np.divmod(packed.ravel(), n)
-    end = np.empty(len(key), dtype=bool)  # each run's last position
-    end[:-1] = key[1:] != key[:-1]
-    end[n - 1::n] = True  # runs never span rows
-    end = end.nonzero()[0]
-    at = np.arange(len(key))
-    later = end.take(end.searchsorted(at)) - at  # partners after each position
-    later[key >= limit] = 0
-    pos = later.nonzero()[0]
-    later = later.take(pos)
-    first = later.cumsum() - later  # index of each position's first pair
+    packed = packed.ravel()
+    key = packed // n
+    tie = key[1:] == key[:-1]
+    tie[n - 1::n] = False  # runs never span rows
+    at = tie.nonzero()[0]
+    at = at[key.take(at) < limit]
+    if past_row:
+        at = at[packed.take(at) % n > rows.take(at // n)]
+    if not len(at):
+        return
+    # the last tie of each streak, and each tie's partner count up to it
+    last = np.empty(len(at), dtype=bool)
+    last[:-1] = at[1:] != at[:-1] + 1
+    last[-1] = True
+    last = last.nonzero()[0]
+    size = last.copy()  # ties per streak
+    size[1:] -= last[:-1]
+    size[0] += 1
+    later = at.take(last).repeat(size) + 1 - at
+    first = later.cumsum() - later  # index of each tied position's first pair
     for start in range(0, int(first[-1] + later[-1]), _PAIRS_PER_CHUNK):
         part = slice(*first.searchsorted((start, start + _PAIRS_PER_CHUNK)))
-        p, count, f = pos[part], later[part], first[part]
+        p, count, f = at[part], later[part], first[part]
         i = p.repeat(count)
         j = (p + 1 - f + f[:1]).repeat(count) + np.arange(len(i))
-        yield rows.take(i // n), col.take(i), col.take(j), key.take(i)
+        yield rows.take(i // n), packed.take(i) % n, packed.take(j) % n, key.take(i)
 
 
-def _least_witness(cancellation, hits):
+def _least_witness(cancellation, hits, past_row):
     """Least (z, a, u, v, w) over the fiber pairs of every row a that hit.
 
     cancellation is _cancellation_keys(join, meet). hits(keys, a, lo, hi,
     key) returns, as arrays (a, u, v, key), the pairs that head a witness;
-    z and w are read off the key. Rows are scanned in groups, and a group
-    only holds rows and pairs with a bottom below the best of the groups
-    before it, so the least hit within each group that has one is the
-    least witness so far.
+    z and w are read off the key. past_row hands hits only pairs with
+    a < lo. Rows are scanned in groups, and a group only holds rows and
+    pairs with a bottom below the best of the groups before it, so the
+    least hit within each group that has one is the least witness so far.
     """
     keys, low = cancellation
     n = len(low)
@@ -224,7 +247,7 @@ def _least_witness(cancellation, hits):
         if not len(rows):
             continue
         found = []
-        for chunk in _fiber_pairs(keys, rows, bound * n):
+        for chunk in _fiber_pairs(keys, rows, bound * n, past_row):
             a, u, v, key = hits(keys, *chunk)
             if len(a):
                 z = key // n
@@ -251,22 +274,21 @@ def pentagon_search(join, meet, leq, cancellation):
         x, y = np.where(up, lo, hi), np.where(up, hi, lo)
         return a[hit], x[hit], y[hit], key[hit]
 
-    return _least_witness(cancellation, pentagons)
+    return _least_witness(cancellation, pentagons, False)
 
 
 def diamond_search(join, meet, leq, cancellation):
     """Lexicographically least diamond (z, a, b, c, w) with a < b < c, or None.
 
     Diamond: a, b, c pairwise incomparable, all pairwise meets = z, joins = w.
-    Only pairs b < c above a in one key fiber of row a are tested, for
+    Only pairs a < b < c in one key fiber of row a are tested, for
     keys[b, c] equal to that key. Three distinct elements with equal pair
     keys are pairwise incomparable (if u <= v among them, then z = u and
     w = v, so the third t lies in [u, v] and t = t ^ v = z = u), so leq is
     not read.
     """
     def diamonds(keys, a, b, c, key):
-        hit = b > a
-        hit[hit] = keys[b[hit], c[hit]] == key[hit]
+        hit = keys[b, c] == key
         return a[hit], b[hit], c[hit], key[hit]
 
-    return _least_witness(cancellation, diamonds)
+    return _least_witness(cancellation, diamonds, True)

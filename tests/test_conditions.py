@@ -1,5 +1,6 @@
 import time
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
@@ -15,6 +16,7 @@ from lcmlat.conditions import (
 )
 from lcmlat.lattice import build_lcm_lattice
 from lcmlat.monomials import Hypergraph, edge_ideal
+from strategies import exhaustive_hypergraphs
 
 
 class TestPrivateVertex:
@@ -208,3 +210,51 @@ def _induced_p4_edge_scan(G):
             path.append(nxt)
         return ConditionVerdict("induced-p4", True, {"path": path})
     return ConditionVerdict("induced-p4", False)
+
+
+# --- oracles: each condition written straight from its docstring, by brute force ---
+
+def _private_vertex_oracle(H):
+    """Every edge has a vertex appearing in no other edge: one of degree 1."""
+    degree = Counter(v for e in H.edges for v in e)
+    return all(any(degree[v] == 1 for v in e) for e in H.edges)
+
+
+def _degree1_path_oracle(G):
+    """Distinct v1, v2, v3, v4 with edges v1v2, v2v3, v3v4 and
+    deg(v1) = deg(v4) = 1."""
+    edges = set(G.edges)
+    degree = Counter(v for e in edges for v in e)
+    return any(degree[p[0]] == degree[p[3]] == 1
+               and all(frozenset(p[i:i + 2]) in edges for i in range(3))
+               for p in permutations(range(1, G.vertex_count + 1), 4))
+
+
+def _blocking_triplet_oracle(H):
+    """Distinct edges e1, e2, e3 with e2 inside e1 u e3, where e2 is the one
+    edge other than itself that e1 meets, and the one that e3 meets."""
+    meets = {e: {f for f in H.edges if f != e and e & f} for e in H.edges}
+    return any(meets[e1] == meets[e3] == {e2} and e2 <= e1 | e3
+               for e1, e2, e3 in permutations(H.edges, 3))
+
+
+def test_conditions_match_their_definitions_on_the_exhaustive_streams():
+    """private_vertex_check and blocking_triplet_check on every hypergraph of
+    the five exhaustive streams (all k-uniform), degree1_path_check on every
+    connected graph among them, each against its oracle."""
+    verdicts = Counter()
+    for H in exhaustive_hypergraphs():
+        checks = [("private-vertex", private_vertex_check, _private_vertex_oracle),
+                  ("blocking-triplet", blocking_triplet_check, _blocking_triplet_oracle)]
+        if H.is_graph() and H.is_connected():
+            checks.append(("degree1-path", degree1_path_check, _degree1_path_oracle))
+        for name, check, oracle in checks:
+            holds = check(H).holds
+            assert holds == oracle(H), (name, H)
+            verdicts[name, holds] += 1
+    # every instance of the 13146 is checked, and each check goes both ways
+    assert verdicts == {
+        ("private-vertex", True): 1687, ("private-vertex", False): 11459,
+        ("blocking-triplet", True): 780, ("blocking-triplet", False): 12366,
+        ("degree1-path", True): 600, ("degree1-path", False): 1877,
+    }

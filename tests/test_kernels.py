@@ -13,6 +13,7 @@ from lcmlat.lattice import (
     pentagon_lattice,
     product,
 )
+from lcmlat.monomials import parse_ideal_text
 from lcmlat.properties import is_modular
 from reference import (
     _interval_sizes, distributive_by_valuation, from_covers, from_tables, join_irreducibles,
@@ -25,45 +26,47 @@ def _search(search, join, meet, leq):
     return search(join, meet, leq, kernels._cancellation_keys(join, meet))
 
 
-# --- triple-loop oracles: the definitions, scanned in each kernel's order ---
+# --- triple-loop oracles: the definitions, scanned in each kernel's order; they
+# index [i][j], so they also run on .tolist() copies of the tables, which loop
+# several times faster than the arrays ---
 
 def _modular_violation_loops(join, meet, leq):
-    n = join.shape[0]
+    n = len(join)
     for z in range(n):
         for x in range(n):
-            if not leq[x, z]:
+            if not leq[x][z]:
                 continue
             for y in range(n):
-                if join[x, meet[y, z]] != meet[join[x, y], z]:
+                if join[x][meet[y][z]] != meet[join[x][y]][z]:
                     return x, y, z
     return None
 
 
 def _distributive_violation_loops(join, meet):
-    n = join.shape[0]
+    n = len(join)
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                if meet[x, join[y, z]] != join[meet[x, y], meet[x, z]]:
+                if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
                     return x, y, z
     return None
 
 
 def _pentagon_search_loops(join, meet, leq):
-    n = join.shape[0]
+    n = len(join)
     best = None
     for a in range(n):
         for x in range(n):
-            if leq[a, x] or leq[x, a]:
+            if leq[a][x] or leq[x][a]:
                 continue
-            z = int(meet[a, x])
-            w = int(join[a, x])
+            z = int(meet[a][x])
+            w = int(join[a][x])
             for y in range(n):
-                if y == x or not leq[x, y]:
+                if y == x or not leq[x][y]:
                     continue
-                if leq[a, y] or leq[y, a]:
+                if leq[a][y] or leq[y][a]:
                     continue
-                if meet[a, y] != z or join[a, y] != w:
+                if meet[a][y] != z or join[a][y] != w:
                     continue
                 if best is None or (z, a, x, y, w) < best:
                     best = (z, a, x, y, w)
@@ -71,20 +74,20 @@ def _pentagon_search_loops(join, meet, leq):
 
 
 def _diamond_search_loops(join, meet, leq):
-    n = join.shape[0]
+    n = len(join)
     best = None
     for a in range(n):
         for b in range(a + 1, n):
-            if leq[a, b] or leq[b, a]:
+            if leq[a][b] or leq[b][a]:
                 continue
-            z = int(meet[a, b])
-            w = int(join[a, b])
+            z = int(meet[a][b])
+            w = int(join[a][b])
             for c in range(b + 1, n):
-                if leq[a, c] or leq[c, a] or leq[b, c] or leq[c, b]:
+                if leq[a][c] or leq[c][a] or leq[b][c] or leq[c][b]:
                     continue
-                if meet[a, c] != z or meet[b, c] != z:
+                if meet[a][c] != z or meet[b][c] != z:
                     continue
-                if join[a, c] != w or join[b, c] != w:
+                if join[a][c] != w or join[b][c] != w:
                     continue
                 if best is None or (z, a, b, c, w) < best:
                     best = (z, a, b, c, w)
@@ -180,14 +183,15 @@ def _sample_lattices():
 
 def _assert_parity(lattice):
     tables = (lattice.join_table, lattice.meet_table, lattice.leq)
-    modular = _modular_violation_loops(*tables)
-    distributive = _distributive_violation_loops(*tables[:2])
+    lists = [t.tolist() for t in tables]
+    modular = _modular_violation_loops(*lists)
+    distributive = _distributive_violation_loops(*lists[:2])
     assert kernels.modular_violation(*tables) == modular
     assert kernels.distributive_violation(*tables[:2]) == distributive
     assert kernels.modular_by_valuation(*tables) == (modular is None)
     assert distributive_by_valuation(*tables) == (distributive is None)
-    assert _search(kernels.pentagon_search, *tables) == _pentagon_search_loops(*tables)
-    assert _search(kernels.diamond_search, *tables) == _diamond_search_loops(*tables)
+    assert _search(kernels.pentagon_search, *tables) == _pentagon_search_loops(*lists)
+    assert _search(kernels.diamond_search, *tables) == _diamond_search_loops(*lists)
 
 
 _SAMPLES = list(_sample_lattices())
@@ -207,6 +211,99 @@ def test_search_parity_in_small_pair_chunks(lattice, monkeypatch):
     tables = (lattice.join_table, lattice.meet_table, lattice.leq)
     assert _search(kernels.pentagon_search, *tables) == _pentagon_search_loops(*tables)
     assert _search(kernels.diamond_search, *tables) == _diamond_search_loops(*tables)
+
+
+def _fiber_pairs_loops(keys, rows, limit, past_row):
+    """Every (a, lo, hi, key) with keys[a][lo] == keys[a][hi] == key < limit
+    and lo < hi, and a < lo too if past_row, in sorted order."""
+    keys = keys.tolist()
+    n = len(keys)
+    return [(a, lo, hi, keys[a][lo]) for a in rows.tolist() for lo in range(n)
+            for hi in range(lo + 1, n)
+            if keys[a][lo] == keys[a][hi] < limit and (a < lo or not past_row)]
+
+
+def _walked(keys, rows, limit, past_row):
+    """The pairs _fiber_pairs yields, as sorted (a, lo, hi, key) tuples."""
+    chunks = [np.stack(chunk, axis=1) for chunk in
+              kernels._fiber_pairs(keys, rows, limit, past_row)]
+    return sorted(map(tuple, np.concatenate(chunks).tolist())) if chunks else []
+
+
+def _pair_keys(lattice):
+    """keys[a, x] = (a ^ x) * n + (a v x) of every row, as _cancellation_keys
+    builds them, also on a lattice where it holds none."""
+    return lattice.meet_table * lattice.size + lattice.join_table
+
+
+@pytest.mark.parametrize("chunk", [kernels._PAIRS_PER_CHUNK, 5], ids=["chunk_default", "chunk5"])
+@pytest.mark.parametrize("past_row", [False, True], ids=["any_row", "past_row"])
+@pytest.mark.parametrize("lattice", [L for _, L in _SAMPLES], ids=[i for i, _ in _SAMPLES])
+def test_fiber_pairs_are_every_tied_pair(lattice, past_row, chunk, monkeypatch):
+    """The walk yields each pair of equal keys below the limit once, over the
+    rows that repeat a key; with 5-pair chunks a position's pairs may fill
+    several chunks' worth, and the pairs are unchanged."""
+    monkeypatch.setattr(kernels, "_PAIRS_PER_CHUNK", chunk)
+    keys, n = _pair_keys(lattice), lattice.size
+    rows = kernels._cancellation_keys(lattice.join_table, lattice.meet_table)[1] < n
+    rows = rows.nonzero()[0]
+    for limit in (n * n, n * n // 2):
+        assert _walked(keys, rows, limit, past_row) == _fiber_pairs_loops(
+            keys, rows, limit, past_row)
+
+
+@pytest.mark.parametrize("lattice,rows,limit,past_row", [
+    (boolean_lattice(5), range(32), 32 * 32, False),
+    (diamond_lattice(), range(5), 0, False),
+    # row 3 of M3 ties on the atoms 1 and 2 only, both below it
+    (diamond_lattice(), [3], 25, True),
+], ids=["boolean5", "M3_limit0", "M3_row3_past_row"])
+def test_fiber_pairs_of_rows_without_a_tie_yield_nothing(lattice, rows, limit, past_row):
+    rows = np.array(rows)
+    assert list(kernels._fiber_pairs(_pair_keys(lattice), rows, limit, past_row)) == []
+
+
+def test_diamond_search_walks_only_pairs_past_the_row(monkeypatch):
+    """A diamond's witness has a < b < c, so the walk hands the diamond
+    search's hit function no pair with lo <= a."""
+    walk = kernels._fiber_pairs
+    walked = []
+
+    def recording(*args):
+        for chunk in walk(*args):
+            walked.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(kernels, "_fiber_pairs", recording)
+    for _, L in _SAMPLES:
+        _search(kernels.diamond_search, L.join_table, L.meet_table, L.leq)
+    assert walked
+    assert all((lo > a).all() for a, lo, _, _ in walked)
+
+
+# seed-41 inputs of the random-ideals bench, each with the expected least
+# diamond: 154 elements with no diamond, so the search walks every row that
+# repeats a key, and 168 elements whose least diamond has bottom 9, so the
+# best-bottom cutoff decides which rows are walked
+BENCH_IDEALS = {
+    "random154": ("ring 7\nx1^2*x2^2*x3^3*x4^3*x5*x6^2*x7\nx1^3*x2*x3^3*x4*x6^2\n"
+                  "x3*x4^3*x6^3\nx3*x5^3*x6\nx2^2*x3*x4^2*x6^2*x7^3\nx1^2*x2*x3^3*x4^3*x7^2\n"
+                  "x1*x2*x5^3*x6*x7^2\nx2^2*x3^2*x4^2*x7^3\nx1*x2*x3^3*x4*x6*x7^2\n"
+                  "x1*x2^3*x3^2*x4*x5*x6^3*x7^3\nx1^2*x2^2*x3^2*x5^2*x6\n", None),
+    "random168": ("ring 7\nx4*x5^3*x6*x7^3\nx3^3*x4^2*x6^3\nx2*x6*x7^2\n"
+                  "x1*x2^3*x3*x4*x5^3*x7^3\nx2^2*x3^3*x4*x5*x7\nx2*x4*x5^2*x6\nx1*x2*x3^3*x7\n"
+                  "x1^3*x2^2*x5^3*x6*x7\nx1^2*x2^2*x3^2*x4^2*x5*x6\nx2*x3^2*x5^2*x7\n"
+                  "x1*x2^2*x3^2*x4*x6*x7\nx1^3*x2*x3*x4^2*x7\n", (9, 22, 24, 25, 41)),
+}
+
+
+@pytest.mark.parametrize("name", BENCH_IDEALS)
+def test_parity_on_bench_sized_random_ideals(name):
+    text, diamond = BENCH_IDEALS[name]
+    L = build_lcm_lattice(parse_ideal_text(text)).lattice
+    assert L.size == int(name[len("random"):])
+    _assert_parity(L)
+    assert L.diamond == diamond
 
 
 @pytest.mark.parametrize("lattice", [L for _, L in _SAMPLES], ids=[i for i, _ in _SAMPLES])
